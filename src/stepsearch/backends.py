@@ -131,11 +131,37 @@ class ScriptedNode:
     final_answer: str | None = None
     checkpoint_reward: float | None = None
     children: list["ScriptedNode"] = field(default_factory=list)
+    # Children by step text, and children longest step first, built on first
+    # lookup.  They live on the node, so a node shared by several parents (a
+    # DAG world) builds them once.
+    _by_step: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _longest_first: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def endpoint_reward(self) -> float:
         """Score of this step when a checkpoint answer terminates the path here."""
         return self.reward if self.checkpoint_reward is None else self.checkpoint_reward
+
+    def children_by_step(self) -> dict[str, "ScriptedNode"]:
+        """Children keyed by step text.  Of two siblings with the same step
+        the first wins, as in a scan of children."""
+        if self._by_step is None:
+            self._index_children()
+        return self._by_step
+
+    def longest_first(self) -> tuple["ScriptedNode", ...]:
+        """Children by step length, longest first, siblings of equal length in
+        order: the first whose step a text starts with is its longest match."""
+        if self._by_step is None:
+            self._index_children()
+        return self._longest_first
+
+    def _index_children(self) -> None:
+        by_step: dict[str, ScriptedNode] = {}
+        for child in self.children:
+            by_step.setdefault(child.step, child)
+        self._longest_first = tuple(sorted(self.children, key=lambda c: -len(c.step)))
+        self._by_step = by_step
 
 
 @dataclass
@@ -245,8 +271,15 @@ def load_scripted_world(path: str) -> ScriptedWorld:
 class ScriptedBackend:
     """Deterministic generator plus reward model over scripted worlds.
 
-    Holds one world per question text.  Prefix resolution walks the tree by
-    exact step-text matching, so it only sees prefixes the backend itself
+    Holds one world per question text.  A prefix resolves by walking the
+    world from the root along an offset into the prefix, without slicing
+    it: at each node the child whose step is the longest prefix of the
+    remaining text is taken, from the node's children sorted longest step
+    first.  score_steps looks each step up in the node's step -> child dict.
+    Both are built once per node on first use and kept on the node, so a
+    world whose nodes are shared between parents (a DAG) builds them once
+    per shared node.  Nothing is cached per prefix, so memory stays at the
+    size of the worlds.  Resolution only sees prefixes the backend itself
     produced earlier in the run.
     """
 
@@ -268,27 +301,27 @@ class ScriptedBackend:
         except KeyError:
             raise ProtocolError(f"no scripted world for question {question_text!r}")
 
-    def _split_prefix(self, prefix: str) -> tuple[ScriptedWorld, str]:
+    def _split_prefix(self, prefix: str) -> tuple[ScriptedWorld, int]:
+        """(world, offset of the first step) for the question prefix starts with."""
         for question in self._ordered_questions:
             if prefix.startswith(question):
-                return self._worlds[question], prefix[len(question) :]
+                return self._worlds[question], len(question)
         raise ProtocolError("prefix does not start with any known question text")
 
     def _resolve(self, prefix: str) -> tuple[ScriptedWorld, ScriptedNode]:
-        world, remaining = self._split_prefix(prefix)
+        world, pos = self._split_prefix(prefix)
         node = world.root
-        while remaining:
-            match = None
-            for child in node.children:
-                if remaining.startswith(child.step):
-                    if match is None or len(child.step) > len(match.step):
-                        match = child
-            if match is None:
+        end = len(prefix)
+        while pos < end:
+            for child in node._longest_first or node.longest_first():
+                if prefix.startswith(child.step, pos):
+                    break
+            else:
                 raise ProtocolError(
-                    f"prefix does not align with the scripted world near {remaining[:40]!r}"
+                    f"prefix does not align with the scripted world near {prefix[pos : pos + 40]!r}"
                 )
-            node = match
-            remaining = remaining[len(match.step) :]
+            node = child
+            pos += len(child.step)
         return world, node
 
     @staticmethod
@@ -335,24 +368,25 @@ class ScriptedBackend:
         world = self.world_for(question)
         node = world.root
         scores: list[float] = []
-        for i, step_text in enumerate(steps):
-            exact = next((c for c in node.children if c.step == step_text), None)
-            if exact is not None:
-                scores.append(exact.reward)
-                node = exact
-                continue
-            if i == len(steps) - 1:
-                # A checkpoint-completed path ends with "<step><template><answer>";
-                # score it as that step's endpoint.
-                stubs = [c for c in node.children if step_text.startswith(c.step)]
-                if stubs:
-                    best = max(stubs, key=lambda c: len(c.step))
-                    scores.append(best.endpoint_reward)
-                    return scores
-            raise ProtocolError(
-                f"step {i} does not align with the scripted world: {step_text[:40]!r}"
-            )
-        return scores
+        for step_text in steps:
+            exact = (node._by_step or node.children_by_step()).get(step_text)
+            if exact is None:
+                break
+            scores.append(exact.reward)
+            node = exact
+        else:
+            return scores
+        i = len(scores)
+        if i == len(steps) - 1:
+            # A checkpoint-completed path ends with "<step><template><answer>";
+            # score it as that step's endpoint.
+            stub = next((c for c in node.longest_first() if steps[i].startswith(c.step)), None)
+            if stub is not None:
+                scores.append(stub.endpoint_reward)
+                return scores
+        raise ProtocolError(
+            f"step {i} does not align with the scripted world: {steps[i][:40]!r}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,8 @@ def _load_worlds(path: str, dataset: Dataset) -> ScriptedBackend:
 
 
 def _build_backends(config: dict, dataset: Dataset):
+    """(generator, reward, cache to save after the run or None).  A replay
+    cache is only read, so it is never returned for saving."""
     backend = config.get("backend", "scripted")
     if backend == "scripted":
         worlds_path = config.get("worlds")
@@ -97,7 +99,7 @@ def _build_backends(config: dict, dataset: Dataset):
             model=config.get("model", "default"), cache=cache, offline=offline
         )
         reward = HttpReward.from_env(cache=cache, offline=offline)
-        return generator, reward, cache
+        return generator, reward, None if offline else cache
     raise ConfigError("backend", f"unknown backend {backend!r}")
 
 
@@ -122,7 +124,7 @@ def _run_cells(args, axis: str | None = None, values: list | None = None) -> int
     n_values = values if axis == "n" else None
     tau_values = values if axis == "tau" else None
     cells = build_cells(base, methods, n_values=n_values, tau_values=tau_values)
-    generator, reward, cache = _build_backends(config, dataset)
+    generator, reward, recording = _build_backends(config, dataset)
 
     os.makedirs(args.results_dir, exist_ok=True)
     effective = {
@@ -155,8 +157,8 @@ def _run_cells(args, axis: str | None = None, values: list | None = None) -> int
         workers=args.workers if args.workers is not None else config.get("workers", 1),
         flops_params=config.get("flops"),
     )
-    if cache is not None and not getattr(cache, "offline", False):
-        cache.save()
+    if recording is not None:
+        recording.save()
     meta = {
         "started_at": started,
         "finished_at": time.time(),

@@ -10,6 +10,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 # Canonical form of an answer that is empty after normalization.  Empty
 # answers compare equal to each other and never to a non-empty answer.
@@ -220,6 +221,16 @@ class Step:
     text: str
 
 
+step_text = attrgetter("text")
+_second = itemgetter(1)
+
+
+def delimiter_pattern(delimiters: tuple[str, ...] | list[str]) -> re.Pattern:
+    """The pattern split_into_steps cuts at: any delimiter, earlier ones
+    tried first at each position."""
+    return re.compile("|".join(re.escape(d) for d in delimiters))
+
+
 def split_into_steps(text: str, delimiters: tuple[str, ...] | list[str]) -> list[Step]:
     """Split path text into steps at every delimiter occurrence.
 
@@ -231,7 +242,7 @@ def split_into_steps(text: str, delimiters: tuple[str, ...] | list[str]) -> list
         raise ValueError("delimiters must be non-empty")
     if not text:
         return []
-    pattern = re.compile("|".join(re.escape(d) for d in delimiters))
+    pattern = delimiter_pattern(delimiters)
     boundaries = [m.start() for m in pattern.finditer(text)]
     if not boundaries:
         return [Step(0, text)]
@@ -267,12 +278,21 @@ class ReasoningPath:
     status: str = PATH_ACTIVE
     lineage: list[tuple[int, int]] = field(default_factory=list)
     checkpoint_answers: dict[int, CheckpointAnswer] = field(default_factory=dict)
+    # step_tokens() kept by the search engine as it builds the path from its
+    # parent; None on a path built anywhere else.
+    _step_tokens: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def text(self) -> str:
-        return "".join(s.text for s in self.steps)
+        return "".join(map(step_text, self.steps))
+
+    def step_tokens(self) -> int:
+        """approx_token_count summed over the step texts."""
+        if self._step_tokens is None:
+            return sum(approx_token_count(s.text) for s in self.steps)
+        return self._step_tokens
 
     def lineage_key(self) -> tuple[int, ...]:
-        return tuple(idx for _, idx in self.lineage)
+        return tuple(map(_second, self.lineage))
 
     def reduced_score(self, mode: str) -> float:
         return reduce_scores(self.score_sequence, mode)
@@ -363,7 +383,7 @@ def build_checkpoint_candidate(
             f"checkpoint step {answer.step_index} out of range for a path "
             f"with {len(path.steps)} steps"
         )
-    prefix = "".join(s.text for s in path.steps[: answer.step_index + 1])
+    prefix = "".join(map(step_text, path.steps[: answer.step_index + 1]))
     return Candidate(
         full_text=prefix + template + answer.raw_text,
         answer=answer.normalized,

@@ -138,8 +138,10 @@ def config_hash(cfg: SearchConfig) -> str:
 
 def _atomic_write_json(path: str, data: dict) -> None:
     tmp = path + ".tmp"
+    # One write of the whole text; json.dump would issue one per chunk.
+    text = json.dumps(data, sort_keys=True, indent=1)
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
+        fh.write(text)
     os.replace(tmp, path)
 
 

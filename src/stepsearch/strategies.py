@@ -18,7 +18,9 @@ differ only in the selection rule:
 """
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from itertools import accumulate
 
 from . import decision
 from .backends import derive_seed
@@ -39,10 +41,12 @@ from .core import (
     TokenStats,
     approx_token_count,
     build_checkpoint_candidate,
+    delimiter_pattern,
     extract_final_answer,
     normalize_answer,
     reduce_scores,
     split_into_steps,
+    step_text,
 )
 
 
@@ -100,7 +104,14 @@ def round_robin_select(clusters: list[Cluster], scores: list[float], m: int) -> 
 
 
 class _Engine:
-    """Shared per-run bookkeeping: pools, token accounting, diagnostics."""
+    """Shared per-run bookkeeping: pools, token accounting, diagnostics.
+
+    Per call, the engine's own work is the new step's work: a child's
+    reward-token count is its parent's plus the new step's, and a
+    checkpoint candidate's step texts come from its path instead of a
+    re-split of its text.  The payloads sent and the counters kept are the
+    same as re-splitting and recounting the whole prefix would give.
+    """
 
     def __init__(self, question: Question, cfg: SearchConfig, generator, reward):
         self.question = question
@@ -113,6 +124,9 @@ class _Engine:
         self.rounds: list[RoundRecord] = []
         self.tokens = TokenStats()
         self.stopped_early = False
+        # Whether a pooled natural or checkpoint candidate scores above tau.
+        self._over_tau = False
+        self._delimiter_re = delimiter_pattern(cfg.delimiters)
 
     # -- expansion ---------------------------------------------------------
 
@@ -131,6 +145,7 @@ class _Engine:
         self.tokens.generated_tokens += sum(
             approx_token_count(c.text) for c in continuations
         )
+        parent_tokens = parent.step_tokens() if parent else 0
         children = []
         for offset, cont in enumerate(continuations):
             g = first_global_index + offset
@@ -141,6 +156,7 @@ class _Engine:
                 lineage=(parent.lineage if parent else []) + [(step_index, g)],
                 checkpoint_answers=dict(parent.checkpoint_answers) if parent else {},
             )
+            child._step_tokens = parent_tokens + approx_token_count(step.text)
             if cont.finished:
                 child.finish()
             children.append(child)
@@ -149,18 +165,45 @@ class _Engine:
     # -- scoring -----------------------------------------------------------
 
     def score_path(self, path: ReasoningPath) -> None:
-        texts = [s.text for s in path.steps]
-        path.score_sequence = [float(x) for x in self.reward.score_steps(self.question.text, texts)]
+        texts = list(map(step_text, path.steps))
+        path.score_sequence = list(map(float, self.reward.score_steps(self.question.text, texts)))
         self.tokens.reward_calls += 1
-        self.tokens.reward_tokens += sum(approx_token_count(t) for t in texts)
+        self.tokens.reward_tokens += path.step_tokens()
 
     def score_candidate(self, candidate: Candidate) -> None:
-        steps = split_into_steps(candidate.full_text, self.cfg.delimiters)
-        texts = [s.text for s in steps]
+        texts, tokens = self._candidate_steps(candidate)
         seq = self.reward.score_steps(self.question.text, texts)
-        candidate.final_score = reduce_scores([float(x) for x in seq], self.cfg.reduction)
+        candidate.final_score = reduce_scores(list(map(float, seq)), self.cfg.reduction)
         self.tokens.reward_calls += 1
-        self.tokens.reward_tokens += sum(approx_token_count(t) for t in texts)
+        self.tokens.reward_tokens += tokens
+
+    def _candidate_steps(self, candidate: Candidate) -> tuple[list[str], int]:
+        """(step texts, their token count) of a checkpoint candidate, equal to
+        splitting its full text at the delimiters.
+
+        The texts are its path's steps through the checkpoint step, the last
+        one followed by the template and the answer.  That equals the split
+        when the delimiter matches in the full text start exactly at the
+        steps' offsets; a delimiter inside a step, the template or the answer
+        moves or adds a match, and the text is split instead.
+        """
+        path, last = candidate.source, candidate.origin_step
+        full = candidate.full_text
+        if path is not None and last == len(path.steps) - 1:
+            texts = list(map(step_text, path.steps))
+            offsets = list(accumulate(map(len, texts[:-1]), initial=0))
+            starts = list(map(re.Match.start, self._delimiter_re.finditer(full)))
+            if starts == offsets or starts == offsets[1:]:
+                tail = full[offsets[-1] :]
+                tokens = (
+                    path.step_tokens()
+                    - approx_token_count(texts[-1])
+                    + approx_token_count(tail)
+                )
+                texts[-1] = tail
+                return texts, tokens
+        texts = [s.text for s in split_into_steps(full, self.cfg.delimiters)]
+        return texts, sum(approx_token_count(t) for t in texts)
 
     # -- pooling -----------------------------------------------------------
 
@@ -178,6 +221,7 @@ class _Engine:
             source=path,
         )
         self.naturals.append(candidate)
+        self._note_pooled(candidate)
         return candidate
 
     def inject_checkpoint(self, path: ReasoningPath) -> CheckpointAnswer:
@@ -199,6 +243,7 @@ class _Engine:
         candidate.round_index = round_index
         self.score_candidate(candidate)
         self.checkpoint_pool.append(candidate)
+        self._note_pooled(candidate)
         return candidate
 
     def force_complete(self, survivors: list[ReasoningPath], round_index: int) -> None:
@@ -217,12 +262,13 @@ class _Engine:
             self.score_candidate(candidate)
             self.forced.append(candidate)
 
+    def _note_pooled(self, candidate: Candidate) -> None:
+        if candidate.final_score is not None and candidate.final_score > self.cfg.tau:
+            self._over_tau = True
+
     def pool_over_tau(self) -> bool:
-        tau = self.cfg.tau
-        return any(
-            c.final_score is not None and c.final_score > tau
-            for c in self.naturals + self.checkpoint_pool
-        )
+        """Whether a pooled natural or checkpoint candidate scores above tau."""
+        return self._over_tau
 
     # -- finishing ---------------------------------------------------------
 
@@ -259,24 +305,19 @@ class _Engine:
 
 def _build_trace(winner: Candidate, pool: list[Candidate]) -> list[dict]:
     """Step rows for the winning candidate, joining in the endpoint score of
-    any pooled checkpoint candidate built at the same step of the same path."""
+    any pooled checkpoint candidate built at the same step of the same path
+    (the first such candidate in pool order)."""
     source = winner.source
     if source is None:
         return []
     upto = (winner.origin_step + 1) if winner.from_checkpoint else len(source.steps)
     prefix_key = source.lineage_key()
+    endpoints: dict[tuple, float | None] = {}
+    for c in pool:
+        if c.origin == ORIGIN_CHECKPOINT:
+            endpoints.setdefault((c.origin_step, c.lineage), c.final_score)
     rows = []
     for i in range(upto):
-        endpoint = next(
-            (
-                c.final_score
-                for c in pool
-                if c.origin == ORIGIN_CHECKPOINT
-                and c.origin_step == i
-                and c.lineage == prefix_key[: i + 1]
-            ),
-            None,
-        )
         answer = source.checkpoint_answers.get(i)
         rows.append(
             {
@@ -286,7 +327,7 @@ def _build_trace(winner: Candidate, pool: list[Candidate]) -> list[dict]:
                 if i < len(source.score_sequence)
                 else None,
                 "checkpoint_answer": answer.raw_text if answer else None,
-                "endpoint_score": endpoint,
+                "endpoint_score": endpoints.get((i, prefix_key[: i + 1])),
             }
         )
     return rows

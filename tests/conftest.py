@@ -1,13 +1,17 @@
-"""Shared fixtures: fixture paths, scripted backends, acceptance summary."""
+"""Shared fixtures: fixture paths, scripted backends, a loopback HTTP stub,
+acceptance summary."""
 from __future__ import annotations
 
 import json
 import os
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import settings
 
-from stepsearch import Question, ScriptedBackend, parse_world
+from stepsearch import Question, ScriptedBackend, SearchConfig, parse_world
+from stepsearch.core import DEFAULT_INJECTION_TEMPLATE
 
 settings.register_profile("repo", deadline=None, max_examples=60)
 settings.load_profile("repo")
@@ -51,6 +55,87 @@ def smoke_suite():
         q.text: parse_world(specs[q.id]) for q in dataset.questions
     }
     return dataset, ScriptedBackend(by_text)
+
+
+class StubState:
+    def __init__(self):
+        self.requests: list[tuple[str, dict]] = []
+        self.responses: dict[str, object] = {}
+        self.fail_next = 0
+        self.status = 200
+        self.raw_body: bytes | None = None
+
+
+def _make_stub_handler(state: StubState):
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            payload = json.loads(self.rfile.read(length))
+            state.requests.append((self.path, payload))
+            if state.fail_next > 0:
+                state.fail_next -= 1
+                self.close_connection = True
+                self.connection.close()
+                return
+            body = state.raw_body
+            if body is None:
+                responder = state.responses.get(self.path)
+                data = responder(payload) if callable(responder) else responder
+                body = json.dumps(data).encode("utf-8")
+            self.send_response(state.status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    return Handler
+
+
+@pytest.fixture()
+def stub_server():
+    """(base URL, StubState) of a threaded loopback server whose replies
+    come from state.responses, keyed by route."""
+    state = StubState()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_stub_handler(state))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://127.0.0.1:{server.server_port}"
+    yield url, state
+    server.shutdown()
+    server.server_close()
+
+
+def scripted_http_responder(scripted: ScriptedBackend):
+    """Adapt a scripted world to the two wire routes."""
+
+    def completions(payload: dict) -> dict:
+        cfg = SearchConfig(
+            temperature=payload["temperature"],
+            top_p=payload["top_p"],
+            seed=payload.get("seed", 0),
+        )
+        prompt = payload["prompt"]
+        if prompt.endswith(DEFAULT_INJECTION_TEMPLATE):
+            prefix = prompt[: -len(DEFAULT_INJECTION_TEMPLATE)]
+            raw = scripted.force_checkpoint_answer(prefix, cfg)
+            return {"choices": [{"text": raw, "finish_reason": "stop"}]}
+        assert prompt.endswith("### Step")
+        prefix = prompt[: -len("### Step")]
+        conts = scripted.sample_continuations(prefix, payload["n"], cfg)
+        return {
+            "choices": [
+                {"text": c.text, "finish_reason": "eos" if c.finished else "stop"}
+                for c in conts
+            ]
+        }
+
+    def score(payload: dict) -> dict:
+        return {"scores": scripted.score_steps(payload["question"], payload["steps"])}
+
+    return completions, score
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

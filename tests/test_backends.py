@@ -3,9 +3,7 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -13,6 +11,7 @@ from stepsearch import (
     Question,
     RequestCache,
     ScriptedBackend,
+    ScriptedWorld,
     SearchConfig,
     parse_world,
     run_search,
@@ -26,13 +25,14 @@ from stepsearch.backends import (
     MissingEnvError,
     ProtocolError,
     TransportError,
+    ScriptedNode,
     WorldError,
     derive_seed,
     load_scripted_world,
 )
 from stepsearch.core import DEFAULT_INJECTION_TEMPLATE
 
-from conftest import load_world_fixture
+from conftest import load_world_fixture, scripted_http_responder
 
 # ---------------------------------------------------------------------------
 # derive_seed / GeneratorRequest
@@ -283,6 +283,97 @@ def test_longest_question_prefix_wins():
     assert scripted._split_prefix("Q\n### Step 1")[0].gold_answer == "1"
 
 
+@pytest.mark.parametrize("short_first", [True, False])
+def test_longest_sibling_step_wins(short_first):
+    """One sibling's step is a prefix of the other's: a prefix or a step
+    resolves to the longer one whenever it matches."""
+    short = _leaf(step="### Step 1: go", reward=0.2, checkpoint_reward=0.3,
+                  checkpoint_answer="2", final_answer="2")
+    long = _leaf(step="### Step 1: go on", reward=0.7, checkpoint_reward=0.8,
+                 checkpoint_answer="7", final_answer="7")
+    spec = _world(children=[short, long] if short_first else [long, short])
+    scripted = ScriptedBackend.for_question("Q\n", parse_world(spec))
+    cfg = SearchConfig()
+    assert scripted.force_checkpoint_answer("Q\n### Step 1: go on", cfg) == "7"
+    assert scripted.force_checkpoint_answer("Q\n### Step 1: go", cfg) == "2"
+    assert scripted.score_steps("Q\n", ["### Step 1: go on"]) == [0.7]
+    assert scripted.score_steps("Q\n", ["### Step 1: go"]) == [0.2]
+    template = DEFAULT_INJECTION_TEMPLATE
+    assert scripted.score_steps("Q\n", ["### Step 1: go on" + template + "7"]) == [0.8]
+    assert scripted.score_steps("Q\n", ["### Step 1: go" + template + "2"]) == [0.3]
+
+
+def _shared_world():
+    """Two parents over one shared child list, and a third parent holding the
+    same nodes in the other order."""
+
+    def node(step, answer, reward, children=()):
+        return ScriptedNode(
+            step=step, weight=1.0, reward=reward, checkpoint_answer=answer,
+            terminal=not children, final_answer=None if children else answer,
+            children=children if isinstance(children, list) else list(children),
+        )
+
+    leaf_a = node("### Step 2: end a.\n", "5", 0.9)
+    leaf_b = node("### Step 2: end b.\n", "6", 0.4)
+    shared = [leaf_a, leaf_b]
+    parents = [
+        node("### Step 1: left.\n", "1", 0.3, shared),
+        node("### Step 1: right.\n", "2", 0.6, shared),
+        node("### Step 1: swapped.\n", "3", 0.5, [leaf_b, leaf_a]),
+    ]
+    root = ScriptedNode(step="", weight=1.0, reward=1.0, checkpoint_answer="",
+                        terminal=False, children=parents)
+    return ScriptedWorld("5", root), parents, shared
+
+
+def test_shared_children_resolve_under_every_parent():
+    world, parents, leaves = _shared_world()
+    scripted = ScriptedBackend.for_question("Q\n", world)
+    cfg = SearchConfig(seed=3)
+    for parent in parents:
+        for leaf in leaves:
+            prefix = "Q\n" + parent.step + leaf.step
+            assert scripted._resolve(prefix)[1] is leaf
+            assert scripted.force_checkpoint_answer(prefix, cfg) == leaf.checkpoint_answer
+            assert scripted.score_steps("Q\n", [parent.step, leaf.step]) == [
+                parent.reward, leaf.reward,
+            ]
+        drawn = scripted.sample_continuations("Q\n" + parent.step, 8, cfg)
+        assert {"### Step" + c.text for c in drawn} <= {leaf.step for leaf in leaves}
+        assert all(c.finished for c in drawn)
+    assert parents[0].children_by_step() == {leaf.step: leaf for leaf in leaves}
+
+
+def test_duplicate_sibling_steps_resolve_to_the_first():
+    """Worlds built from nodes directly are not checked for duplicate
+    sibling steps; the first such sibling wins, as a scan would find it."""
+    world, parents, leaves = _shared_world()
+    twin = ScriptedNode(step=parents[0].step, weight=1.0, reward=0.99,
+                        checkpoint_answer="9", terminal=False, children=leaves)
+    world.root.children.append(twin)
+    scripted = ScriptedBackend.for_question("Q\n", world)
+    assert scripted._resolve("Q\n" + twin.step)[1] is parents[0]
+    assert scripted.score_steps("Q\n", [twin.step]) == [parents[0].reward]
+
+
+def test_misaligned_prefix_raises_align_error():
+    world, parents, _ = _shared_world()
+    scripted = ScriptedBackend.for_question("Q\n", world)
+    cfg = SearchConfig()
+    for prefix in [
+        "Q\n### Step 1: lef",
+        "Q\n### Step 1: left.\n### Step 2: nowhere.\n",
+        "Q\n### Step 1: left.\n### Step 2: end a.\n### Step 3: past the leaf.\n",
+    ]:
+        with pytest.raises(ProtocolError, match="align"):
+            scripted.force_checkpoint_answer(prefix, cfg)
+        with pytest.raises(ProtocolError, match="align"):
+            scripted.sample_continuations(prefix, 1, cfg)
+    with pytest.raises(ProtocolError, match="align"):
+        scripted.score_steps("Q\n", [parents[0].step, "### Step 2: nowhere.\n", "x"])
+
+
 # ---------------------------------------------------------------------------
 # RequestCache
 # ---------------------------------------------------------------------------
@@ -303,57 +394,8 @@ def test_request_cache_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# HTTP clients against a threaded stub server
+# HTTP clients against the threaded stub server (conftest.stub_server)
 # ---------------------------------------------------------------------------
-
-
-class _StubState:
-    def __init__(self):
-        self.requests: list[tuple[str, dict]] = []
-        self.responses: dict[str, object] = {}
-        self.fail_next = 0
-        self.status = 200
-        self.raw_body: bytes | None = None
-
-
-def _make_stub_handler(state: _StubState):
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers["Content-Length"])
-            payload = json.loads(self.rfile.read(length))
-            state.requests.append((self.path, payload))
-            if state.fail_next > 0:
-                state.fail_next -= 1
-                self.close_connection = True
-                self.connection.close()
-                return
-            body = state.raw_body
-            if body is None:
-                responder = state.responses.get(self.path)
-                data = responder(payload) if callable(responder) else responder
-                body = json.dumps(data).encode("utf-8")
-            self.send_response(state.status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    return Handler
-
-
-@pytest.fixture()
-def stub_server():
-    state = _StubState()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_stub_handler(state))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    url = f"http://127.0.0.1:{server.server_port}"
-    yield url, state
-    server.shutdown()
-    server.server_close()
 
 
 def test_http_generator_round_trip(stub_server):
@@ -494,41 +536,11 @@ def test_record_then_offline_replay(stub_server, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _scripted_http_responder(scripted: ScriptedBackend):
-    """Adapt a scripted world to the two wire routes."""
-
-    def completions(payload: dict) -> dict:
-        cfg = SearchConfig(
-            temperature=payload["temperature"],
-            top_p=payload["top_p"],
-            seed=payload.get("seed", 0),
-        )
-        prompt = payload["prompt"]
-        if prompt.endswith(DEFAULT_INJECTION_TEMPLATE):
-            prefix = prompt[: -len(DEFAULT_INJECTION_TEMPLATE)]
-            raw = scripted.force_checkpoint_answer(prefix, cfg)
-            return {"choices": [{"text": raw, "finish_reason": "stop"}]}
-        assert prompt.endswith("### Step")
-        prefix = prompt[: -len("### Step")]
-        conts = scripted.sample_continuations(prefix, payload["n"], cfg)
-        return {
-            "choices": [
-                {"text": c.text, "finish_reason": "eos" if c.finished else "stop"}
-                for c in conts
-            ]
-        }
-
-    def score(payload: dict) -> dict:
-        return {"scores": scripted.score_steps(payload["question"], payload["steps"])}
-
-    return completions, score
-
-
 def test_http_run_matches_scripted_run(stub_server):
     url, state = stub_server
     question, world = load_world_fixture("deceptive.json")
     scripted = ScriptedBackend.for_question(question.text, world)
-    completions, score = _scripted_http_responder(scripted)
+    completions, score = scripted_http_responder(scripted)
     state.responses["/v1/completions"] = completions
     state.responses["/v1/score"] = score
 

@@ -7,8 +7,10 @@ import subprocess
 import sys
 
 import pytest
-from conftest import fixture_path
+from conftest import fixture_path, scripted_http_responder
 
+from stepsearch import RequestCache, ScriptedBackend, load_dataset, parse_world
+from stepsearch.backends import ENV_GENERATOR_URL, ENV_REWARD_URL
 from stepsearch.cli import main
 
 
@@ -218,3 +220,42 @@ def test_reruns_are_byte_identical(tmp_path):
                  "--results-dir", str(second_dir)]) == 0
     assert (first_dir / "report.csv").read_bytes() == (second_dir / "report.csv").read_bytes()
     assert (first_dir / "report.md").read_bytes() == (second_dir / "report.md").read_bytes()
+
+
+def test_replay_run_leaves_the_replay_file_untouched(tmp_path, monkeypatch, stub_server):
+    """Record a run against the loopback stub, then replay it offline: the
+    replay file keeps its bytes, and no save of it is attempted."""
+    url, state = stub_server
+    config_path = _setup_project(tmp_path, methods=["srca"])
+    config = json.loads(config_path.read_text())
+    dataset = load_dataset(config["dataset"])
+    with open(config["worlds"], encoding="utf-8") as fh:
+        specs = json.load(fh)["worlds"]
+    scripted = ScriptedBackend({q.text: parse_world(specs[q.id]) for q in dataset.questions})
+    completions, score = scripted_http_responder(scripted)
+    state.responses["/v1/completions"] = completions
+    state.responses["/v1/score"] = score
+    monkeypatch.setenv(ENV_GENERATOR_URL, url)
+    monkeypatch.setenv(ENV_REWARD_URL, url)
+
+    cache_path = tmp_path / "requests.json"
+    config.update(backend="http", record=str(cache_path))
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    recorded_dir = tmp_path / "recorded"
+    assert main(["run", "--config", str(config_path), "--results-dir", str(recorded_dir)]) == 0
+    recorded = cache_path.read_bytes()
+    requests_seen = len(state.requests)
+    assert requests_seen > 0
+
+    def refuse_save(cache):
+        raise AssertionError(f"replay cache {cache.path} must not be saved")
+
+    monkeypatch.setattr(RequestCache, "save", refuse_save)
+    del config["record"]
+    config["replay"] = str(cache_path)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    replayed_dir = tmp_path / "replayed"
+    assert main(["run", "--config", str(config_path), "--results-dir", str(replayed_dir)]) == 0
+    assert cache_path.read_bytes() == recorded
+    assert len(state.requests) == requests_seen
+    assert (replayed_dir / "report.csv").read_bytes() == (recorded_dir / "report.csv").read_bytes()
