@@ -138,10 +138,8 @@ def config_hash(cfg: SearchConfig) -> str:
 
 def _atomic_write_json(path: str, data: dict) -> None:
     tmp = path + ".tmp"
-    # One write of the whole text; json.dump would issue one per chunk.
-    text = json.dumps(data, sort_keys=True, indent=1)
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        json.dump(data, fh, sort_keys=True, indent=1)
     os.replace(tmp, path)
 
 
