@@ -313,6 +313,9 @@ class ScriptedBackend:
         node = world.root
         end = len(prefix)
         while pos < end:
+            # The cached tuple is read directly: this loop runs once per step
+            # of every prefix, and a method call per level costs as much as
+            # the scan.
             for child in node._longest_first or node.longest_first():
                 if prefix.startswith(child.step, pos):
                     break

@@ -106,7 +106,7 @@ def round_robin_select(clusters: list[Cluster], scores: list[float], m: int) -> 
 class _Engine:
     """Shared per-run bookkeeping: pools, token accounting, diagnostics.
 
-    Per call, the engine's own work is the new step's work: a child's
+    No Python loop runs over a whole prefix per call: a child's
     reward-token count is its parent's plus the new step's, and a
     checkpoint candidate's step texts come from its path instead of a
     re-split of its text.  The payloads sent and the counters kept are the
