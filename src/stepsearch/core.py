@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import attrgetter, itemgetter
 
@@ -469,33 +469,16 @@ class SearchConfig:
         return self.n // self.m
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "max_steps": self.max_steps,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "tau": self.tau,
-            "reduction": self.reduction,
-            "delimiters": list(self.delimiters),
-            "injection_template": self.injection_template,
-            "strategy": self.strategy,
-            "cca_enabled": self.cca_enabled,
-            "seed": self.seed,
-            "selector": self.selector,
-            "max_step_tokens": self.max_step_tokens,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["delimiters"] = list(self.delimiters)
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SearchConfig":
-        known = {f: data[f] for f in data}
-        unknown = set(known) - {
-            "n", "m", "max_steps", "temperature", "top_p", "tau", "reduction",
-            "delimiters", "injection_template", "strategy", "cca_enabled",
-            "seed", "selector", "max_step_tokens",
-        }
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown search config key")
+        known = dict(data)
         if "delimiters" in known:
             known["delimiters"] = tuple(known["delimiters"])
         return cls(**known)

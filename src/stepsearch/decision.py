@@ -3,13 +3,14 @@
 Selectors implement three standard rules: best-of-n (argmax score),
 weighted best-of-n (answer clusters ranked by summed score), and majority
 vote.  All are deterministic: ties break toward natural candidates, then
-earlier lineage.
+earlier lineage.  The answer clustering that weighted best-of-n ranks is the
+one the search's clustered survivor rule uses.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Candidate, normalize_answer
+from .core import Candidate, Cluster, normalize_answer
 
 
 @dataclass(frozen=True)
@@ -54,29 +55,48 @@ def select_bon(pool: list[Candidate]) -> Selection:
     return Selection(winner.answer, winner, "bon", winner.from_checkpoint)
 
 
-def _answer_groups(pool: list[Candidate]) -> dict[str, list[int]]:
+def _groups(keys: list[str]) -> dict[str, list[int]]:
+    """Indices by key, keys in order of first appearance."""
     groups: dict[str, list[int]] = {}
-    for i, c in enumerate(pool):
-        groups.setdefault(normalize_answer(c.answer), []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     return groups
+
+
+def rank_clusters(keys: list[str], scores: list[float]) -> list[Cluster]:
+    """Group indices by answer key, the keys already normalized.
+
+    Clusters are sorted by aggregate score (exact sum, no re-normalization)
+    descending; ties break on the highest single member score, then on the
+    lowest member index.
+    """
+    if len(keys) != len(scores):
+        raise ValueError("answers and scores must be the same length")
+    clusters = [
+        Cluster(key, tuple(members), sum(scores[i] for i in members))
+        for key, members in _groups(keys).items()
+    ]
+    clusters.sort(
+        key=lambda c: (-c.aggregate, -max(scores[i] for i in c.members), c.members[0])
+    )
+    return clusters
+
+
+def cluster_by_answer(answers: list[str], scores: list[float]) -> list[Cluster]:
+    """rank_clusters over the normalized answers."""
+    if not answers:
+        raise ValueError("cannot cluster an empty candidate list")
+    return rank_clusters([normalize_answer(a) for a in answers], scores)
 
 
 def select_weighted_bon(pool: list[Candidate]) -> Selection:
     """Rank answers by summed candidate score; the winner is the top-scoring
     member of the winning answer group."""
     _require_scored(pool)
-    groups = _answer_groups(pool)
-    ranked = sorted(
-        groups.items(),
-        key=lambda kv: (
-            -sum(pool[i].final_score for i in kv[1]),
-            -max(pool[i].final_score for i in kv[1]),
-            min(kv[1]),
-        ),
-    )
-    answer, members = ranked[0]
-    winner = pool[min(members, key=lambda i: (-pool[i].final_score, i))]
-    return Selection(answer, winner, "weighted_bon", winner.from_checkpoint)
+    scores = [c.final_score for c in pool]
+    top = cluster_by_answer([c.answer for c in pool], scores)[0]
+    winner = pool[min(top.members, key=lambda i: (-scores[i], i))]
+    return Selection(top.answer_key, winner, "weighted_bon", winner.from_checkpoint)
 
 
 def select_majority(pool: list[Candidate]) -> Selection:
@@ -88,7 +108,7 @@ def select_majority(pool: list[Candidate]) -> Selection:
     """
     if not pool:
         raise ValueError("cannot select from an empty candidate pool")
-    groups = _answer_groups(pool)
+    groups = _groups([normalize_answer(c.answer) for c in pool])
     ranked = sorted(
         groups.items(),
         key=lambda kv: (

@@ -1,20 +1,25 @@
 """Search strategies over stepwise reasoning.
 
-All round-based strategies share one mechanical skeleton: expand surviving
-paths, score every candidate, pool naturally finished ones, optionally force
-a checkpoint answer out of each active candidate, and select survivors.  They
-differ only in the selection rule:
+Every scored strategy runs one round loop, ``_run_round_based``: expand the
+surviving paths, score the candidates, pool the naturally finished ones,
+optionally force a checkpoint answer out of each active candidate (pooling it
+as a scored candidate when CCA is on), and keep survivors.  Strategies differ
+only in the survivor rule, a function ``(actives, reduced, clusters, cfg)``
+returning survivor indices in survivor order:
 
-* run_beam_search   keeps the top-M candidates by reduced score.
-* run_srca          clusters candidates by checkpoint answer, ranks clusters
-                    by summed score, and picks members round-robin so every
-                    answer cluster keeps a representative (answer-diverse
-                    selection), optionally pooling every checkpoint-completed
-                    candidate and stopping early once a pooled score beats tau.
-* run_dvts          runs M isolated single-path subtrees, each keeping its own
-                    argmax child.
-* run_independent   runs N unpruned paths to completion.
-* run_greedy        runs a single temperature-0 path.
+* run_srca          round-robin over the answer clusters, ranked by summed
+                    score, so every answer cluster keeps a representative;
+                    stops early once a pooled score beats tau.
+* run_beam_search   the top M candidates by reduced score.
+* run_dvts          the best candidate of each subtree.  The M subtrees split
+                    the shared root sample, and each later round, into runs of
+                    N/M consecutive candidates.
+* run_independent   every active path.  N unpruned paths each grow one step
+                    per round from their own derived seed, are never injected,
+                    and are scored only once finished or at the step cap.
+
+run_greedy is apart: it follows one temperature-0 path and scores and
+selects nothing.
 """
 from __future__ import annotations
 
@@ -48,34 +53,6 @@ from .core import (
     split_into_steps,
     step_text,
 )
-
-
-def cluster_by_answer(answers: list[str], scores: list[float]) -> list[Cluster]:
-    """Group candidate indices by normalized answer equality.
-
-    Clusters are sorted by aggregate score (exact sum, no re-normalization)
-    descending; ties break on the highest single member score, then on the
-    lowest member index.
-    """
-    if len(answers) != len(scores):
-        raise ValueError("answers and scores must be the same length")
-    if not answers:
-        raise ValueError("cannot cluster an empty candidate list")
-    groups: dict[str, list[int]] = {}
-    for i, answer in enumerate(answers):
-        groups.setdefault(normalize_answer(answer), []).append(i)
-    clusters = [
-        Cluster(key, tuple(members), sum(scores[i] for i in members))
-        for key, members in groups.items()
-    ]
-    clusters.sort(
-        key=lambda c: (
-            -c.aggregate,
-            -max(scores[i] for i in c.members),
-            min(c.members),
-        )
-    )
-    return clusters
 
 
 def round_robin_select(clusters: list[Cluster], scores: list[float], m: int) -> list[int]:
@@ -207,22 +184,26 @@ class _Engine:
 
     # -- pooling -----------------------------------------------------------
 
-    def pool_natural(self, path: ReasoningPath) -> Candidate:
+    def natural_candidate(
+        self, path: ReasoningPath, final_score: float | None = None
+    ) -> Candidate:
         full = path.text()
         raw = extract_final_answer(full, self.cfg.injection_template)
-        candidate = Candidate(
+        return Candidate(
             full_text=full,
             answer=normalize_answer(raw),
             origin=ORIGIN_NATURAL,
-            final_score=path.reduced_score(self.cfg.reduction),
+            final_score=final_score,
             lineage=path.lineage_key(),
             round_index=len(path.steps) - 1,
             question_id=path.question_id,
             source=path,
         )
+
+    def pool_natural(self, path: ReasoningPath) -> None:
+        candidate = self.natural_candidate(path, path.reduced_score(self.cfg.reduction))
         self.naturals.append(candidate)
         self._note_pooled(candidate)
-        return candidate
 
     def inject_checkpoint(self, path: ReasoningPath) -> CheckpointAnswer:
         """Force an intermediate answer; the path itself is left untouched."""
@@ -235,32 +216,30 @@ class _Engine:
         path.record_checkpoint(answer)
         return answer
 
-    def pool_checkpoint_candidate(self, path: ReasoningPath, round_index: int) -> Candidate:
-        answer = path.checkpoint_answers[len(path.steps) - 1]
-        candidate = build_checkpoint_candidate(
-            path, self.cfg.injection_template, answer
-        )
+    def checkpoint_candidate(
+        self, path: ReasoningPath, answer: CheckpointAnswer, round_index: int
+    ) -> Candidate:
+        """The scored completion of path through answer."""
+        candidate = build_checkpoint_candidate(path, self.cfg.injection_template, answer)
         candidate.round_index = round_index
         self.score_candidate(candidate)
+        return candidate
+
+    def pool_checkpoint_candidate(self, path: ReasoningPath, round_index: int) -> None:
+        answer = path.checkpoint_answers[len(path.steps) - 1]
+        candidate = self.checkpoint_candidate(path, answer, round_index)
         self.checkpoint_pool.append(candidate)
         self._note_pooled(candidate)
-        return candidate
 
     def force_complete(self, survivors: list[ReasoningPath], round_index: int) -> None:
         """Complete capped-out paths through their last checkpoint answer so
         the pool is never empty.  Reuses an already-recorded answer when the
         round loop injected one; otherwise issues the one final injection."""
         for path in sorted(survivors, key=lambda p: p.lineage_key()):
-            last = len(path.steps) - 1
-            answer = path.checkpoint_answers.get(last)
+            answer = path.checkpoint_answers.get(len(path.steps) - 1)
             if answer is None:
                 answer = self.inject_checkpoint(path)
-            candidate = build_checkpoint_candidate(
-                path, self.cfg.injection_template, answer
-            )
-            candidate.round_index = round_index
-            self.score_candidate(candidate)
-            self.forced.append(candidate)
+            self.forced.append(self.checkpoint_candidate(path, answer, round_index))
 
     def _note_pooled(self, candidate: Candidate) -> None:
         if candidate.final_score is not None and candidate.final_score > self.cfg.tau:
@@ -288,7 +267,7 @@ class _Engine:
 
     def finalize(self, pool: list[Candidate], selection: decision.Selection) -> RunResult:
         index = next(i for i, c in enumerate(pool) if c is selection.winner)
-        result = RunResult(
+        return RunResult(
             question_id=self.question.id,
             strategy=self.cfg.strategy,
             pool=pool,
@@ -300,7 +279,6 @@ class _Engine:
             stopped_early=self.stopped_early,
             selected_trace=_build_trace(selection.winner, pool),
         )
-        return result
 
 
 def _build_trace(winner: Candidate, pool: list[Candidate]) -> list[dict]:
@@ -341,6 +319,37 @@ def _select(pool: list[Candidate], cfg: SearchConfig) -> decision.Selection:
     return decision.select_majority(pool)
 
 
+def _keep_round_robin(actives, reduced, clusters, cfg):
+    return round_robin_select(clusters, reduced, min(cfg.m, len(actives)))
+
+
+def _keep_top_m(actives, reduced, clusters, cfg):
+    return sorted(range(len(actives)), key=lambda i: (-reduced[i], i))[: cfg.m]
+
+
+def _keep_subtree_best(actives, reduced, clusters, cfg):
+    """The best candidate of each subtree, in subtree order, ties to the
+    earliest; a subtree is a run of branch_factor consecutive candidates."""
+    best: dict[int, int] = {}
+    for i, path in enumerate(actives):
+        subtree = path.lineage[-1][1] // cfg.branch_factor
+        if subtree not in best or reduced[i] > reduced[best[subtree]]:
+            best[subtree] = i
+    return list(best.values())
+
+
+def _keep_all(actives, reduced, clusters, cfg):
+    return list(range(len(actives)))
+
+
+_SURVIVOR_RULES = {
+    "srca": _keep_round_robin,
+    "beam": _keep_top_m,
+    "dvts": _keep_subtree_best,
+    "independent": _keep_all,
+}
+
+
 def _run_round_based(
     question: Question,
     cfg: SearchConfig,
@@ -349,292 +358,134 @@ def _run_round_based(
     clustered: bool,
     early_stop: bool,
 ) -> RunResult:
+    """The round loop of every scored strategy; cfg.strategy picks the
+    survivor rule.  clustered forces a checkpoint answer out of every active
+    candidate and clusters by it even with CCA off; early_stop ends the
+    search once a pooled candidate scores above tau."""
+    keep = _SURVIVOR_RULES[cfg.strategy]
+    # Independent paths grow one child each, are scored only once finished or
+    # capped, and never inject.  Each samples with a seed derived from its
+    # root index, so paths that share a prefix do not collapse into one
+    # sampling stream.
+    independent = cfg.strategy == "independent"
+    path_cfgs = [
+        replace(cfg, seed=derive_seed(cfg.seed, "independent-path", j))
+        for j in range(cfg.n if independent else 0)
+    ]
+    cca = cfg.cca_enabled and not independent
+    inject = clustered or cca
+    width = 1 if independent else cfg.branch_factor
     engine = _Engine(question, cfg, generator, reward)
-    branch = cfg.branch_factor
     active: list[ReasoningPath] = []
     for t in range(cfg.max_steps):
-        if t == 0:
-            parent_list: list[ReasoningPath | None] = [None]
-            per_parent = cfg.n
-        else:
-            parent_list = list(active)
-            per_parent = branch
+        parents: list[ReasoningPath | None] = active if t else [None]
+        per_parent = width if t else cfg.n
         candidates: list[ReasoningPath] = []
-        for parent in parent_list:
+        for parent in parents:
+            sample_cfg = path_cfgs[parent.lineage[0][1]] if independent and parent else cfg
             candidates.extend(
-                engine.sample_children(parent, per_parent, t, len(candidates))
+                engine.sample_children(parent, per_parent, t, len(candidates), sample_cfg)
             )
-        # Budget conservation: m surviving beams always expand into m * (N/M).
-        assert len(candidates) == len(parent_list) * per_parent
+        # Budget conservation: every parent expands into per_parent children.
+        assert len(candidates) == len(parents) * per_parent
         for path in candidates:
-            engine.score_path(path)
+            if not independent or path.status == PATH_FINISHED:
+                engine.score_path(path)
         finished = [p for p in candidates if p.status == PATH_FINISHED]
         actives = [p for p in candidates if p.status == PATH_ACTIVE]
         for path in finished:
             engine.pool_natural(path)
-        do_inject = clustered or cfg.cca_enabled
-        if do_inject:
+        if inject:
             for path in actives:
                 engine.inject_checkpoint(path)
-        pooled_checkpoint = 0
-        if cfg.cca_enabled:
+        if cca:
             for path in actives:
                 engine.pool_checkpoint_candidate(path, t)
-                pooled_checkpoint += 1
-        cluster_count = None
+        reduced = [] if independent else [p.reduced_score(cfg.reduction) for p in actives]
         clusters: list[Cluster] = []
-        reduced = [p.reduced_score(cfg.reduction) for p in actives]
-        if do_inject and actives:
-            answers = [p.checkpoint_answers[len(p.steps) - 1].normalized for p in actives]
-            clusters = cluster_by_answer(answers, reduced)
-            cluster_count = len(clusters)
-        elif do_inject:
-            cluster_count = 0
+        if inject:
+            keys = [p.checkpoint_answers[t].normalized for p in actives]
+            clusters = decision.rank_clusters(keys, reduced)
+        selected: list[int] = []
         if early_stop and engine.pool_over_tau():
             engine.stopped_early = True
-            engine.rounds.append(
-                RoundRecord(t, len(parent_list), len(candidates), cluster_count,
-                            [], len(finished), pooled_checkpoint)
-            )
-            break
-        if not actives:
-            engine.rounds.append(
-                RoundRecord(t, len(parent_list), len(candidates), cluster_count,
-                            [], len(finished), pooled_checkpoint)
-            )
-            active = []
-            break
-        m_sel = min(cfg.m, len(actives))
-        if clustered:
-            selected = round_robin_select(clusters, reduced, m_sel)
-        else:
-            selected = sorted(range(len(actives)), key=lambda i: (-reduced[i], i))[:m_sel]
-        # Map back to within-round candidate indices for the transcript.
-        candidate_ids = {id(p): i for i, p in enumerate(candidates)}
+        elif actives:
+            selected = keep(actives, reduced, clusters, cfg)
+        # All M subtrees of dvts are live in round 0.
+        beams = cfg.m if t == 0 and cfg.strategy == "dvts" else len(parents)
         engine.rounds.append(
             RoundRecord(
                 t,
-                len(parent_list),
+                beams,
                 len(candidates),
-                cluster_count,
-                [candidate_ids[id(actives[i])] for i in selected],
+                len(clusters) if inject else None,
+                [actives[i].lineage[-1][1] for i in selected],
                 len(finished),
-                pooled_checkpoint,
+                len(actives) if cca else 0,
             )
         )
-        chosen = {id(actives[i]) for i in selected}
-        for path in actives:
-            if id(path) not in chosen:
+        if not selected:
+            break
+        chosen = set(selected)
+        for i, path in enumerate(actives):
+            if i not in chosen:
                 path.prune()
         active = [actives[i] for i in selected]
     else:
         # Hit the step cap with survivors; checkpoint-complete them so the
         # pool is never empty.  With CCA on they are already pooled.
-        if active and not cfg.cca_enabled:
+        if not cca:
+            if independent:
+                for path in active:
+                    engine.score_path(path)
             engine.force_complete(active, cfg.max_steps - 1)
     pool = engine.assemble()
-    selection = _select(pool, cfg)
-    return engine.finalize(pool, selection)
+    return engine.finalize(pool, _select(pool, cfg))
+
+
+def _expect(cfg: SearchConfig, strategy: str) -> None:
+    if cfg.strategy != strategy:
+        raise ValueError(f"config strategy is {cfg.strategy!r}, expected {strategy!r}")
 
 
 def run_srca(question: Question, cfg: SearchConfig, generator, reward) -> RunResult:
     """Answer-clustered search with checkpoint candidate pooling."""
-    if cfg.strategy != "srca":
-        raise ValueError(f"config strategy is {cfg.strategy!r}, expected 'srca'")
+    _expect(cfg, "srca")
     return _run_round_based(question, cfg, generator, reward, clustered=True, early_stop=True)
 
 
 def run_beam_search(question: Question, cfg: SearchConfig, generator, reward) -> RunResult:
     """Plain score-ranked beam search; checkpoints only when cca_enabled."""
-    if cfg.strategy != "beam":
-        raise ValueError(f"config strategy is {cfg.strategy!r}, expected 'beam'")
+    _expect(cfg, "beam")
     return _run_round_based(question, cfg, generator, reward, clustered=False, early_stop=False)
 
 
 def run_dvts(question: Question, cfg: SearchConfig, generator, reward) -> RunResult:
     """M isolated subtrees, each greedily keeping its own best child."""
-    if cfg.strategy != "dvts":
-        raise ValueError(f"config strategy is {cfg.strategy!r}, expected 'dvts'")
-    engine = _Engine(question, cfg, generator, reward)
-    branch = cfg.branch_factor
-    # One surviving path per subtree; None marks a retired subtree.
-    subtrees: list[ReasoningPath | None] = [None] * cfg.m
-    started = False
-    for t in range(cfg.max_steps):
-        if started:
-            live = [k for k in range(cfg.m) if subtrees[k] is not None]
-        else:
-            live = list(range(cfg.m))
-        if not live:
-            break
-        candidates: list[ReasoningPath] = []
-        chunk_of: dict[int, list[ReasoningPath]] = {}
-        if not started:
-            # All subtrees draw from the shared root sample, chunked in order.
-            root_children = engine.sample_children(None, cfg.n, t, 0)
-            assert len(root_children) == cfg.n
-            for k in live:
-                chunk_of[k] = root_children[k * branch : (k + 1) * branch]
-            candidates = root_children
-            started = True
-        else:
-            for k in live:
-                chunk = engine.sample_children(
-                    subtrees[k], branch, t, len(candidates)
-                )
-                chunk_of[k] = chunk
-                candidates.extend(chunk)
-            assert len(candidates) == len(live) * branch
-        for path in candidates:
-            engine.score_path(path)
-        finished_count = 0
-        actives_all: list[ReasoningPath] = []
-        for k in live:
-            for path in chunk_of[k]:
-                if path.status == PATH_FINISHED:
-                    engine.pool_natural(path)
-                    finished_count += 1
-                else:
-                    actives_all.append(path)
-        if cfg.cca_enabled:
-            for path in actives_all:
-                engine.inject_checkpoint(path)
-        pooled_checkpoint = 0
-        if cfg.cca_enabled:
-            for path in actives_all:
-                engine.pool_checkpoint_candidate(path, t)
-                pooled_checkpoint += 1
-        cluster_count = None
-        if cfg.cca_enabled and actives_all:
-            answers = [
-                p.checkpoint_answers[len(p.steps) - 1].normalized for p in actives_all
-            ]
-            reduced_all = [p.reduced_score(cfg.reduction) for p in actives_all]
-            cluster_count = len(cluster_by_answer(answers, reduced_all))
-        elif cfg.cca_enabled:
-            cluster_count = 0
-        candidate_ids = {id(p): i for i, p in enumerate(candidates)}
-        selected_ids: list[int] = []
-        for k in live:
-            chunk_active = [p for p in chunk_of[k] if p.status == PATH_ACTIVE]
-            if not chunk_active:
-                subtrees[k] = None
-                continue
-            reduced = [p.reduced_score(cfg.reduction) for p in chunk_active]
-            best = min(
-                range(len(chunk_active)),
-                key=lambda i: (-reduced[i], candidate_ids[id(chunk_active[i])]),
-            )
-            for i, path in enumerate(chunk_active):
-                if i != best:
-                    path.prune()
-            subtrees[k] = chunk_active[best]
-            selected_ids.append(candidate_ids[id(chunk_active[best])])
-        engine.rounds.append(
-            RoundRecord(
-                t,
-                len(live),
-                len(candidates),
-                cluster_count,
-                selected_ids,
-                finished_count,
-                pooled_checkpoint,
-            )
-        )
-    survivors = [p for p in subtrees if p is not None]
-    if survivors and not cfg.cca_enabled:
-        engine.force_complete(survivors, cfg.max_steps - 1)
-    pool = engine.assemble()
-    selection = _select(pool, cfg)
-    return engine.finalize(pool, selection)
+    _expect(cfg, "dvts")
+    return _run_round_based(question, cfg, generator, reward, clustered=False, early_stop=False)
 
 
 def run_independent(question: Question, cfg: SearchConfig, generator, reward) -> RunResult:
     """N unpruned paths sampled to completion, scored once complete."""
-    if cfg.strategy != "independent":
-        raise ValueError(f"config strategy is {cfg.strategy!r}, expected 'independent'")
-    engine = _Engine(question, cfg, generator, reward)
-    paths = engine.sample_children(None, cfg.n, 0, 0)
-    # Distinct derived seeds keep paths that share a prefix from collapsing
-    # into one sampling stream.
-    seeds = {
-        id(p): replace(cfg, seed=derive_seed(cfg.seed, "independent-path", j))
-        for j, p in enumerate(paths)
-    }
-    engine.rounds.append(
-        RoundRecord(
-            0, 1, len(paths), None,
-            [i for i, p in enumerate(paths) if p.status == PATH_ACTIVE],
-            sum(1 for p in paths if p.status == PATH_FINISHED), 0,
-        )
-    )
-    for path in paths:
-        if path.status == PATH_FINISHED:
-            engine.score_path(path)
-            engine.pool_natural(path)
-    active = [p for p in paths if p.status == PATH_ACTIVE]
-    for t in range(1, cfg.max_steps):
-        if not active:
-            break
-        extended: list[ReasoningPath] = []
-        finished_count = 0
-        for path in active:
-            child = engine.sample_children(
-                path, 1, t, len(extended), cfg=seeds[id(path)]
-            )[0]
-            seeds[id(child)] = seeds[id(path)]
-            extended.append(child)
-        selected = []
-        for i, child in enumerate(extended):
-            if child.status == PATH_FINISHED:
-                engine.score_path(child)
-                engine.pool_natural(child)
-                finished_count += 1
-            else:
-                selected.append(i)
-        engine.rounds.append(
-            RoundRecord(t, len(active), len(extended), None, selected, finished_count, 0)
-        )
-        active = [extended[i] for i in selected]
-    if active:
-        for path in active:
-            engine.score_path(path)
-        engine.force_complete(active, cfg.max_steps - 1)
-    pool = engine.assemble()
-    selection = _select(pool, cfg)
-    return engine.finalize(pool, selection)
+    _expect(cfg, "independent")
+    return _run_round_based(question, cfg, generator, reward, clustered=False, early_stop=False)
 
 
 def run_greedy(question: Question, cfg: SearchConfig, generator, reward) -> RunResult:
     """One temperature-0 path; no reward calls."""
-    if cfg.strategy != "greedy":
-        raise ValueError(f"config strategy is {cfg.strategy!r}, expected 'greedy'")
-    greedy_cfg = replace(cfg, temperature=0.0)
-    engine = _Engine(question, greedy_cfg, generator, reward)
+    _expect(cfg, "greedy")
+    engine = _Engine(question, replace(cfg, temperature=0.0), generator, reward)
     path: ReasoningPath | None = None
-    finished = False
     for t in range(cfg.max_steps):
-        child = engine.sample_children(path, 1, t, 0)[0]
-        finished = child.status == PATH_FINISHED
+        path = engine.sample_children(path, 1, t, 0)[0]
+        finished = path.status == PATH_FINISHED
         engine.rounds.append(
             RoundRecord(t, 1, 1, None, [] if finished else [0], int(finished), 0)
         )
-        path = child
         if finished:
+            candidate = engine.natural_candidate(path)
             break
-    assert path is not None
-    if finished:
-        full = path.text()
-        raw = extract_final_answer(full, cfg.injection_template)
-        candidate = Candidate(
-            full_text=full,
-            answer=normalize_answer(raw),
-            origin=ORIGIN_NATURAL,
-            lineage=path.lineage_key(),
-            round_index=len(path.steps) - 1,
-            question_id=path.question_id,
-            source=path,
-        )
     else:
         answer = engine.inject_checkpoint(path)
         candidate = build_checkpoint_candidate(path, cfg.injection_template, answer)

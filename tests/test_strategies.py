@@ -1,6 +1,7 @@
 """Behavioral tests for the five search strategies on scripted worlds."""
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from stepsearch import (
     ScriptedBackend,
     SearchConfig,
     cluster_by_answer,
+    parse_method_label,
     parse_world,
     round_robin_select,
     run_search,
@@ -286,3 +288,40 @@ def test_strategy_runner_rejects_mismatched_config(deceptive):
         run_independent(question, cfg, backend, backend)
     with pytest.raises(ValueError, match="expected 'greedy'"):
         run_greedy(question, SearchConfig(strategy="srca"), backend, backend)
+
+
+# ---------------------------------------------------------------------------
+# Golden run files
+# ---------------------------------------------------------------------------
+
+# SHA-256 over json.dumps(result.to_json_dict(), sort_keys=True) of every
+# smoke question, for each (n, m) shape and search seed in order.  A change
+# to the engine that moves one byte of one run file, or one backend reply it
+# asks for, moves the digest of its method.
+_GOLDEN_SHAPES = [(4, 2), (6, 3), (4, 1), (4, 4)]
+_GOLDEN_DIGESTS = {
+    "greedy": "e129d014c9a33b4e34ce137e1ae75c5ef69e4e4e68143f08af5b5d8afe1f1664",
+    "independent": "c93b032d9aac2961edfb106ed7898f70cec68f94013f0c0e248eaa6c57e672d9",
+    "independent+cca": "571dfb2e97b278174424513e2cf1c0d41977b1c6ce71c8bc86eba3f73272be0a",
+    "beam": "4b9f03993e7a2999dd37a04ce6f93f4c472f9d6052a08203c0480db705bfc6ce",
+    "beam+cca": "d847da8a2d4a56c30b9e72b26b3202a91c9505570c6e44ba099b22b7e77e75bc",
+    "dvts": "13cff10e9a48c98536fc297a371846a6d5afb9f6428760b07e0a7c1c63510b2a",
+    "dvts+cca": "d2f893249d39e7abdd431b555a9a519f663627e359721f85384e324894666619",
+    "srca": "89a6a2becc8b8c397c55b8be506bf1b2c23f3a02f15c4705ad4c7ad65d331f0e",
+    "srca-cca": "a766b766aa80899411b2c6c7c9caad1cae7da488e4ff90d81f90863a9e631867",
+    "srca@weighted_bon": "8c586ff22e573aa3da3e3c2cb9e29d63f5362665f2e1a37dcbcd651e712d81c1",
+    "beam+cca@majority": "8e34611e2c9937fe27f8e8f07817676b8aad2872ae98ce5cf87c1c5d460dac7e",
+}
+
+
+@pytest.mark.parametrize("label", sorted(_GOLDEN_DIGESTS))
+def test_run_files_match_golden_digests(smoke_suite, label):
+    dataset, backend = smoke_suite
+    digest = hashlib.sha256()
+    for n, m in _GOLDEN_SHAPES:
+        for seed in (0, 1):
+            cfg = parse_method_label(label, SearchConfig(n=n, m=m, max_steps=8, seed=seed))
+            for question in dataset.questions:
+                result = run_search(question, cfg, backend, backend)
+                digest.update(json.dumps(result.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == _GOLDEN_DIGESTS[label]
