@@ -439,6 +439,10 @@ class RequestCache:
 
 
 class _HttpClient:
+    """Posts JSON requests through one requests.Session, the caller's when
+    given.  A search that overlaps its calls posts from several threads
+    through that same session, whose connection pool is thread-safe."""
+
     def __init__(
         self,
         base_url: str,
@@ -561,6 +565,8 @@ class HttpReward(_HttpClient):
 
     def __init__(self, base_url: str, **kwargs):
         super().__init__(base_url, **kwargs)
+        # Searches that overlap their calls score from several threads.
+        self._clamp_lock = threading.Lock()
         self.clamp_warnings = 0
 
     @classmethod
@@ -589,7 +595,8 @@ class HttpReward(_HttpClient):
                 raise ProtocolError(f"non-numeric score {s!r}")
             val = float(s)
             if not 0 <= val <= 1:
-                self.clamp_warnings += 1
+                with self._clamp_lock:
+                    self.clamp_warnings += 1
                 log.warning("clamping out-of-range reward score %s into [0, 1]", val)
                 val = min(1.0, max(0.0, val))
             out.append(val)

@@ -22,10 +22,8 @@ from .core import (
     Question,
     RunResult,
     SearchConfig,
-    answers_equal,
     normalize_answer,
 )
-from .oracle import pass_at_k
 from .strategies import run_search
 
 log = logging.getLogger(__name__)
@@ -143,8 +141,9 @@ def _atomic_write_json(path: str, data: dict) -> None:
     os.replace(tmp, path)
 
 
-def _natural_prefix(result: RunResult) -> list:
-    return [c for c in result.pool if c.origin == "natural"]
+def _first_hit(hits: list[bool]) -> int | None:
+    """Index of the first True in hits, or None."""
+    return next((i for i, hit in enumerate(hits) if hit), None)
 
 
 def compute_metrics(
@@ -154,9 +153,15 @@ def compute_metrics(
 
     pass@k clamps k to the pool size; the natural-only variant considers only
     naturally finished candidates and counts an empty natural pool as a miss.
+    Each distinct answer string is normalized once per call and each gold
+    answer once per result; pass@k for every k reads one list of hits per
+    pool, as oracle.pass_at_k over the first k candidates would.
     """
     if not results:
         return {"questions": 0}
+    if min(ks, default=1) < 1:
+        raise ValueError(f"every k must be >= 1, got {sorted(ks)}")
+    canonical: dict[str, str] = {}
     correct = 0
     car_hits = 0
     depth_total = 0
@@ -171,7 +176,14 @@ def compute_metrics(
             answer = gold[result.question_id]
         except KeyError:
             raise ValueError(f"no gold answer for question {result.question_id!r}")
-        if answers_equal(result.selected.answer, answer):
+        gold_key = normalize_answer(answer)
+        hits = []
+        for candidate in result.pool:
+            key = canonical.get(candidate.answer)
+            if key is None:
+                key = canonical[candidate.answer] = normalize_answer(candidate.answer)
+            hits.append(key == gold_key)
+        if hits[result.selected_index]:
             correct += 1
         if result.selected.from_checkpoint:
             car_hits += 1
@@ -180,11 +192,14 @@ def compute_metrics(
         gen_calls += result.tokens.generator_calls
         rew_calls += result.tokens.reward_calls
         rew_tokens += result.tokens.reward_tokens
-        naturals = _natural_prefix(result)
+        first = _first_hit(hits)
+        first_natural = _first_hit(
+            [hit for c, hit in zip(result.pool, hits) if c.origin == "natural"]
+        )
         for k in ks:
-            if pass_at_k(result.pool, answer, min(k, len(result.pool))):
+            if first is not None and first < k:
                 pass_full[k] += 1
-            if naturals and pass_at_k(naturals, answer, min(k, len(naturals))):
+            if first_natural is not None and first_natural < k:
                 pass_natural[k] += 1
     n = len(results)
     row = {

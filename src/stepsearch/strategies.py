@@ -20,12 +20,28 @@ returning survivor indices in survivor order:
 
 run_greedy is apart: it follows one temperature-0 path and scores and
 selects nothing.
+
+A round sends its backend calls in two waves of calls that do not depend on
+each other: wave 1 expands every parent; wave 2 scores every candidate and
+injects each active one, its checkpoint-candidate score chained after the
+injection.  Completing capped-out paths is one more wave.  The search's
+first call runs inline and is timed: if it waited on I/O for at least
+OVERLAP_WAIT_S beyond its own CPU time, later waves run their calls on a
+thread pool the search owns, at most MAX_IN_FLIGHT at once; otherwise every
+call runs inline, one at a time.  Either way the search's own thread applies
+the replies in candidate order, so run files, counters and the requests
+sent are the same in both modes.
 """
 from __future__ import annotations
 
 import re
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from itertools import accumulate
+
+import requests
 
 from . import decision
 from .backends import derive_seed
@@ -80,8 +96,61 @@ def round_robin_select(clusters: list[Cluster], scores: list[float], m: int) -> 
     return picked
 
 
+# At most this many backend calls of one search are in flight at once: the
+# connections a requests.Session keeps open per host, so overlapped HTTP
+# calls reuse kept-alive connections instead of opening and dropping more.
+MAX_IN_FLIGHT = requests.adapters.DEFAULT_POOLSIZE
+# A search overlaps its calls only when its first call waited at least this
+# long (wall time minus the thread's CPU time).  An in-process backend waits
+# on nothing, and handing its calls between threads under the GIL costs more
+# than it overlaps; a network round trip waits far longer than this.
+OVERLAP_WAIT_S = 0.0005
+
+
+class _Waves:
+    """Runs one search's waves of independent backend calls, each a list of
+    argument-less callables, and returns their replies in call order.
+
+    The first call of the search runs inline and is timed; it decides
+    whether later waves of two or more calls run on the search's own thread
+    pool.  A pooled wave raises the first error in call order.  close()
+    waits for every call still running and shuts the pool down, so an error
+    leaves the search only once the other calls of its wave have finished,
+    and no thread outlives the search.
+    """
+
+    def __init__(self):
+        self._overlap: bool | None = None  # None until the first call is timed
+        self._pool: ThreadPoolExecutor | None = None
+
+    def run(self, calls: list) -> list:
+        if self._overlap is None and calls:
+            wall, cpu = time.perf_counter(), time.thread_time()
+            first = calls[0]()
+            waited = (time.perf_counter() - wall) - (time.thread_time() - cpu)
+            self._overlap = waited >= OVERLAP_WAIT_S
+            return [first] + self.run(calls[1:])
+        if not self._overlap or len(calls) < 2:
+            return [call() for call in calls]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="stepsearch")
+        futures = [self._pool.submit(call) for call in calls]
+        return [future.result() for future in futures]
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
 class _Engine:
     """Shared per-run bookkeeping: pools, token accounting, diagnostics.
+
+    Backend calls go out in waves (see _Waves).  A call touches nothing the
+    engine keeps: it reads its request, computed before the wave, and
+    returns its reply.  The search's thread then applies every reply in
+    call order, so counters, paths and pools change in the same order
+    whether or not the calls overlapped.  Use the engine as a context
+    manager, which closes its waves.
 
     No Python loop runs over a whole prefix per call: a child's
     reward-token count is its parent's plus the new step's, and a
@@ -104,55 +173,143 @@ class _Engine:
         # Whether a pooled natural or checkpoint candidate scores above tau.
         self._over_tau = False
         self._delimiter_re = delimiter_pattern(cfg.delimiters)
+        self._waves = _Waves()
+
+    def __enter__(self) -> "_Engine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._waves.close()
 
     # -- expansion ---------------------------------------------------------
 
-    def sample_children(
+    def expand(
         self,
-        parent: ReasoningPath | None,
+        parents: list[ReasoningPath | None],
         n: int,
         step_index: int,
-        first_global_index: int,
-        cfg: SearchConfig | None = None,
+        cfgs: list[SearchConfig],
     ) -> list[ReasoningPath]:
-        cfg = cfg or self.cfg
-        prefix = self.question.text + (parent.text() if parent else "")
-        continuations = self.generator.sample_continuations(prefix, n, cfg)
-        self.tokens.generator_calls += 1
-        self.tokens.generated_tokens += sum(
-            approx_token_count(c.text) for c in continuations
-        )
-        parent_tokens = parent.step_tokens() if parent else 0
-        children = []
-        for offset, cont in enumerate(continuations):
-            g = first_global_index + offset
-            step = Step(index=step_index, text=self.cfg.delimiters[0] + cont.text)
-            child = ReasoningPath(
-                question_id=self.question.id,
-                steps=(parent.steps if parent else []) + [step],
-                lineage=(parent.lineage if parent else []) + [(step_index, g)],
-                checkpoint_answers=dict(parent.checkpoint_answers) if parent else {},
+        """One wave: sample n children of every parent (None is the root),
+        parent i with cfgs[i]; children are indexed in parent order."""
+        sample = self.generator.sample_continuations
+        question = self.question.text
+        replies = self._waves.run([
+            partial(sample, question + (parent.text() if parent else ""), n, cfg)
+            for parent, cfg in zip(parents, cfgs)
+        ])
+        children: list[ReasoningPath] = []
+        for parent, continuations in zip(parents, replies):
+            self.tokens.generator_calls += 1
+            self.tokens.generated_tokens += sum(
+                approx_token_count(c.text) for c in continuations
             )
-            child._step_tokens = parent_tokens + approx_token_count(step.text)
-            if cont.finished:
-                child.finish()
-            children.append(child)
+            parent_tokens = parent.step_tokens() if parent else 0
+            for cont in continuations:
+                step = Step(index=step_index, text=self.cfg.delimiters[0] + cont.text)
+                child = ReasoningPath(
+                    question_id=self.question.id,
+                    steps=(parent.steps if parent else []) + [step],
+                    lineage=(parent.lineage if parent else []) + [(step_index, len(children))],
+                    checkpoint_answers=dict(parent.checkpoint_answers) if parent else {},
+                )
+                child._step_tokens = parent_tokens + approx_token_count(step.text)
+                if cont.finished:
+                    child.finish()
+                children.append(child)
         return children
 
-    # -- scoring -----------------------------------------------------------
+    # -- scoring and injection ---------------------------------------------
 
-    def score_path(self, path: ReasoningPath) -> None:
-        texts = list(map(step_text, path.steps))
-        path.score_sequence = list(map(float, self.reward.score_steps(self.question.text, texts)))
-        self.tokens.reward_calls += 1
-        self.tokens.reward_tokens += path.step_tokens()
+    def score_and_inject(
+        self,
+        scored: list[ReasoningPath],
+        injected: list[ReasoningPath],
+        round_index: int,
+        pool: bool,
+    ) -> None:
+        """One wave: score every path of scored, and force a checkpoint answer
+        out of every path of injected.  With pool, each injected path's
+        checkpoint candidate is scored after its injection and pooled."""
+        for candidate in self._wave(scored, [(p, None) for p in injected], round_index, pool):
+            if candidate is not None:
+                self.checkpoint_pool.append(candidate)
+                self._note_pooled(candidate)
 
-    def score_candidate(self, candidate: Candidate) -> None:
-        texts, tokens = self._candidate_steps(candidate)
-        seq = self.reward.score_steps(self.question.text, texts)
-        candidate.final_score = reduce_scores(list(map(float, seq)), self.cfg.reduction)
-        self.tokens.reward_calls += 1
-        self.tokens.reward_tokens += tokens
+    def force_complete(
+        self,
+        survivors: list[ReasoningPath],
+        round_index: int,
+        scored: list[ReasoningPath],
+    ) -> None:
+        """One wave: score every path of scored, and complete capped-out
+        survivors through their last checkpoint answer so the pool is never
+        empty.  Reuses an answer the round loop recorded; otherwise issues
+        the one final injection, chained before the candidate's score."""
+        ordered = sorted(survivors, key=lambda p: p.lineage_key())
+        answers = [(p, p.checkpoint_answers.get(len(p.steps) - 1)) for p in ordered]
+        self.forced.extend(self._wave(scored, answers, round_index, True))
+
+    def _wave(
+        self,
+        scored: list[ReasoningPath],
+        checkpoints: list[tuple[ReasoningPath, CheckpointAnswer | None]],
+        round_index: int,
+        complete: bool,
+    ) -> list[Candidate | None]:
+        """One wave: score every path of scored; for each (path, answer) of
+        checkpoints, force the answer out of path's last step unless it is
+        given and, with complete, score the candidate completing path
+        through it.  Returns those candidates (None without complete)."""
+        question = self.question.text
+        calls = [
+            partial(self.reward.score_steps, question, list(map(step_text, p.steps)))
+            for p in scored
+        ]
+        calls += [self._checkpoint_call(p, a, round_index, complete) for p, a in checkpoints]
+        replies = self._waves.run(calls)
+        for path, seq in zip(scored, replies):
+            path.score_sequence = list(map(float, seq))
+            self.tokens.reward_calls += 1
+            self.tokens.reward_tokens += path.step_tokens()
+        candidates = []
+        for (path, given), (answer, candidate, tokens) in zip(checkpoints, replies[len(scored) :]):
+            if given is None:
+                self.tokens.generator_calls += 1
+                self.tokens.generated_tokens += approx_token_count(answer.raw_text)
+                path.record_checkpoint(answer)
+            if candidate is not None:
+                self.tokens.reward_calls += 1
+                self.tokens.reward_tokens += tokens
+            candidates.append(candidate)
+        return candidates
+
+    def _checkpoint_call(
+        self,
+        path: ReasoningPath,
+        answer: CheckpointAnswer | None,
+        round_index: int,
+        complete: bool,
+    ):
+        """The call for one (path, answer) of _wave; it returns (answer,
+        scored candidate or None, the candidate's reward tokens)."""
+        prefix = self.question.text + path.text() if answer is None else None
+
+        def call():
+            found = answer
+            if found is None:
+                raw = self.generator.force_checkpoint_answer(prefix, self.cfg)
+                found = CheckpointAnswer.from_raw(len(path.steps) - 1, raw)
+            if not complete:
+                return found, None, 0
+            candidate = build_checkpoint_candidate(path, self.cfg.injection_template, found)
+            candidate.round_index = round_index
+            texts, tokens = self._candidate_steps(candidate)
+            seq = self.reward.score_steps(self.question.text, texts)
+            candidate.final_score = reduce_scores(list(map(float, seq)), self.cfg.reduction)
+            return found, candidate, tokens
+
+        return call
 
     def _candidate_steps(self, candidate: Candidate) -> tuple[list[str], int]:
         """(step texts, their token count) of a checkpoint candidate, equal to
@@ -204,42 +361,6 @@ class _Engine:
         candidate = self.natural_candidate(path, path.reduced_score(self.cfg.reduction))
         self.naturals.append(candidate)
         self._note_pooled(candidate)
-
-    def inject_checkpoint(self, path: ReasoningPath) -> CheckpointAnswer:
-        """Force an intermediate answer; the path itself is left untouched."""
-        raw = self.generator.force_checkpoint_answer(
-            self.question.text + path.text(), self.cfg
-        )
-        self.tokens.generator_calls += 1
-        self.tokens.generated_tokens += approx_token_count(raw)
-        answer = CheckpointAnswer.from_raw(len(path.steps) - 1, raw)
-        path.record_checkpoint(answer)
-        return answer
-
-    def checkpoint_candidate(
-        self, path: ReasoningPath, answer: CheckpointAnswer, round_index: int
-    ) -> Candidate:
-        """The scored completion of path through answer."""
-        candidate = build_checkpoint_candidate(path, self.cfg.injection_template, answer)
-        candidate.round_index = round_index
-        self.score_candidate(candidate)
-        return candidate
-
-    def pool_checkpoint_candidate(self, path: ReasoningPath, round_index: int) -> None:
-        answer = path.checkpoint_answers[len(path.steps) - 1]
-        candidate = self.checkpoint_candidate(path, answer, round_index)
-        self.checkpoint_pool.append(candidate)
-        self._note_pooled(candidate)
-
-    def force_complete(self, survivors: list[ReasoningPath], round_index: int) -> None:
-        """Complete capped-out paths through their last checkpoint answer so
-        the pool is never empty.  Reuses an already-recorded answer when the
-        round loop injected one; otherwise issues the one final injection."""
-        for path in sorted(survivors, key=lambda p: p.lineage_key()):
-            answer = path.checkpoint_answers.get(len(path.steps) - 1)
-            if answer is None:
-                answer = self.inject_checkpoint(path)
-            self.forced.append(self.checkpoint_candidate(path, answer, round_index))
 
     def _note_pooled(self, candidate: Candidate) -> None:
         if candidate.final_score is not None and candidate.final_score > self.cfg.tau:
@@ -375,72 +496,62 @@ def _run_round_based(
     cca = cfg.cca_enabled and not independent
     inject = clustered or cca
     width = 1 if independent else cfg.branch_factor
-    engine = _Engine(question, cfg, generator, reward)
-    active: list[ReasoningPath] = []
-    for t in range(cfg.max_steps):
-        parents: list[ReasoningPath | None] = active if t else [None]
-        per_parent = width if t else cfg.n
-        candidates: list[ReasoningPath] = []
-        for parent in parents:
-            sample_cfg = path_cfgs[parent.lineage[0][1]] if independent and parent else cfg
-            candidates.extend(
-                engine.sample_children(parent, per_parent, t, len(candidates), sample_cfg)
+    with _Engine(question, cfg, generator, reward) as engine:
+        active: list[ReasoningPath] = []
+        for t in range(cfg.max_steps):
+            parents: list[ReasoningPath | None] = active if t else [None]
+            per_parent = width if t else cfg.n
+            sample_cfgs = [
+                path_cfgs[parent.lineage[0][1]] if independent and parent else cfg
+                for parent in parents
+            ]
+            candidates = engine.expand(parents, per_parent, t, sample_cfgs)
+            # Budget conservation: every parent expands into per_parent children.
+            assert len(candidates) == len(parents) * per_parent
+            finished = [p for p in candidates if p.status == PATH_FINISHED]
+            actives = [p for p in candidates if p.status == PATH_ACTIVE]
+            engine.score_and_inject(
+                finished if independent else candidates, actives if inject else [], t, cca
             )
-        # Budget conservation: every parent expands into per_parent children.
-        assert len(candidates) == len(parents) * per_parent
-        for path in candidates:
-            if not independent or path.status == PATH_FINISHED:
-                engine.score_path(path)
-        finished = [p for p in candidates if p.status == PATH_FINISHED]
-        actives = [p for p in candidates if p.status == PATH_ACTIVE]
-        for path in finished:
-            engine.pool_natural(path)
-        if inject:
-            for path in actives:
-                engine.inject_checkpoint(path)
-        if cca:
-            for path in actives:
-                engine.pool_checkpoint_candidate(path, t)
-        reduced = [] if independent else [p.reduced_score(cfg.reduction) for p in actives]
-        clusters: list[Cluster] = []
-        if inject:
-            keys = [p.checkpoint_answers[t].normalized for p in actives]
-            clusters = decision.rank_clusters(keys, reduced)
-        selected: list[int] = []
-        if early_stop and engine.pool_over_tau():
-            engine.stopped_early = True
-        elif actives:
-            selected = keep(actives, reduced, clusters, cfg)
-        # All M subtrees of dvts are live in round 0.
-        beams = cfg.m if t == 0 and cfg.strategy == "dvts" else len(parents)
-        engine.rounds.append(
-            RoundRecord(
-                t,
-                beams,
-                len(candidates),
-                len(clusters) if inject else None,
-                [actives[i].lineage[-1][1] for i in selected],
-                len(finished),
-                len(actives) if cca else 0,
+            for path in finished:
+                engine.pool_natural(path)
+            reduced = [] if independent else [p.reduced_score(cfg.reduction) for p in actives]
+            clusters: list[Cluster] = []
+            if inject:
+                keys = [p.checkpoint_answers[t].normalized for p in actives]
+                clusters = decision.rank_clusters(keys, reduced)
+            selected: list[int] = []
+            if early_stop and engine.pool_over_tau():
+                engine.stopped_early = True
+            elif actives:
+                selected = keep(actives, reduced, clusters, cfg)
+            # All M subtrees of dvts are live in round 0.
+            beams = cfg.m if t == 0 and cfg.strategy == "dvts" else len(parents)
+            engine.rounds.append(
+                RoundRecord(
+                    t,
+                    beams,
+                    len(candidates),
+                    len(clusters) if inject else None,
+                    [actives[i].lineage[-1][1] for i in selected],
+                    len(finished),
+                    len(actives) if cca else 0,
+                )
             )
-        )
-        if not selected:
-            break
-        chosen = set(selected)
-        for i, path in enumerate(actives):
-            if i not in chosen:
-                path.prune()
-        active = [actives[i] for i in selected]
-    else:
-        # Hit the step cap with survivors; checkpoint-complete them so the
-        # pool is never empty.  With CCA on they are already pooled.
-        if not cca:
-            if independent:
-                for path in active:
-                    engine.score_path(path)
-            engine.force_complete(active, cfg.max_steps - 1)
-    pool = engine.assemble()
-    return engine.finalize(pool, _select(pool, cfg))
+            if not selected:
+                break
+            chosen = set(selected)
+            for i, path in enumerate(actives):
+                if i not in chosen:
+                    path.prune()
+            active = [actives[i] for i in selected]
+        else:
+            # Hit the step cap with survivors; checkpoint-complete them so the
+            # pool is never empty.  With CCA on they are already pooled.
+            if not cca:
+                engine.force_complete(active, cfg.max_steps - 1, active if independent else [])
+        pool = engine.assemble()
+        return engine.finalize(pool, _select(pool, cfg))
 
 
 def _expect(cfg: SearchConfig, strategy: str) -> None:
@@ -475,21 +586,23 @@ def run_independent(question: Question, cfg: SearchConfig, generator, reward) ->
 def run_greedy(question: Question, cfg: SearchConfig, generator, reward) -> RunResult:
     """One temperature-0 path; no reward calls."""
     _expect(cfg, "greedy")
-    engine = _Engine(question, replace(cfg, temperature=0.0), generator, reward)
-    path: ReasoningPath | None = None
-    for t in range(cfg.max_steps):
-        path = engine.sample_children(path, 1, t, 0)[0]
-        finished = path.status == PATH_FINISHED
-        engine.rounds.append(
-            RoundRecord(t, 1, 1, None, [] if finished else [0], int(finished), 0)
-        )
-        if finished:
-            candidate = engine.natural_candidate(path)
-            break
-    else:
-        answer = engine.inject_checkpoint(path)
-        candidate = build_checkpoint_candidate(path, cfg.injection_template, answer)
-        candidate.round_index = len(engine.rounds) - 1
+    # One call per round: there is nothing to overlap.
+    with _Engine(question, replace(cfg, temperature=0.0), generator, reward) as engine:
+        path: ReasoningPath | None = None
+        for t in range(cfg.max_steps):
+            path = engine.expand([path], 1, t, [engine.cfg])[0]
+            finished = path.status == PATH_FINISHED
+            engine.rounds.append(
+                RoundRecord(t, 1, 1, None, [] if finished else [0], int(finished), 0)
+            )
+            if finished:
+                candidate = engine.natural_candidate(path)
+                break
+        else:
+            engine.score_and_inject([], [path], t, pool=False)
+            answer = path.checkpoint_answers[t]
+            candidate = build_checkpoint_candidate(path, cfg.injection_template, answer)
+            candidate.round_index = t
     pool = [candidate]
     return RunResult(
         question_id=question.id,

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -484,6 +486,35 @@ def test_http_reward_scores_and_clamping(stub_server):
     scores = reward.score_steps("Q\n", ["a", "b", "c"])
     assert scores == [0.5, 1.0, 0.0]
     assert reward.clamp_warnings == 2
+
+
+def test_http_reward_counts_clamps_from_many_threads(stub_server):
+    url, state = stub_server
+    state.responses["/v1/score"] = {"scores": [1.5, -0.5, 0.5, 2.0]}
+    reward = HttpReward(url)
+    workers, calls = 8, 10
+    errors: list[Exception] = []
+
+    def work():
+        try:
+            for _ in range(calls):
+                assert reward.score_steps("Q\n", ["a", "b", "c", "d"]) == [1.0, 0.0, 0.5, 1.0]
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert reward.clamp_warnings == 3 * workers * calls
 
 
 def test_http_reward_length_mismatch(stub_server):

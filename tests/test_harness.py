@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import pytest
 from conftest import fixture_path, load_world_fixture
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stepsearch import (
     ORIGIN_CHECKPOINT,
@@ -24,12 +26,14 @@ from stepsearch import (
     SearchConfig,
     TokenStats,
     TransportError,
+    answers_equal,
     build_cells,
     compute_metrics,
     config_hash,
     emit_report,
     load_dataset,
     parse_method_label,
+    pass_at_k,
     run_benchmark,
     write_report,
 )
@@ -214,6 +218,51 @@ def test_compute_metrics_requires_gold():
     with pytest.raises(ValueError, match="no gold answer"):
         compute_metrics([_result("mystery", pool, 0)], {}, ks=[1])
     assert compute_metrics([], {}, ks=[1]) == {"questions": 0}
+
+
+# Several spellings of a few canonical answers, and answers that are not
+# numbers at all.
+_ANSWER_FORMS = [
+    "5", "5.0", "10/2", " 5. ", "\\boxed{5}", "1/2", "0.5", "2/4", "1,000",
+    "1000", "Seven", "seven ", "",
+]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from(_ANSWER_FORMS), st.booleans()),
+                     min_size=1, max_size=8),
+            st.sampled_from(_ANSWER_FORMS),
+            st.integers(0, 7),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True),
+)
+def test_compute_metrics_matches_per_k_pass_at_k(runs, ks):
+    results, gold = [], {}
+    for i, (spec, gold_answer, pick) in enumerate(runs):
+        pool = [
+            _cand(answer, 0.5, ORIGIN_NATURAL if natural else ORIGIN_CHECKPOINT, lineage=(j,))
+            for j, (answer, natural) in enumerate(spec)
+        ]
+        gold[f"q{i}"] = gold_answer
+        results.append(_result(f"q{i}", pool, pick % len(pool)))
+    row = compute_metrics(results, gold, ks)
+    n = len(results)
+    correct = sum(answers_equal(r.selected.answer, gold[r.question_id]) for r in results)
+    assert row["accuracy"] == correct / n
+    for k in ks:
+        full = natural = 0
+        for r in results:
+            answer = gold[r.question_id]
+            full += pass_at_k(r.pool, answer, min(k, len(r.pool)))
+            naturals = [c for c in r.pool if c.origin == ORIGIN_NATURAL]
+            natural += bool(naturals) and pass_at_k(naturals, answer, min(k, len(naturals)))
+        assert row[f"pass@{k}"] == full / n
+        assert row[f"pass@{k}_natural"] == natural / n
 
 
 # ---------------------------------------------------------------------------
