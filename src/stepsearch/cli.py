@@ -20,7 +20,7 @@ from .backends import (
     WorldError,
     parse_world,
 )
-from .core import ConfigError, SearchConfig
+from .core import ConfigError, RunResult, SearchConfig
 from .harness import (
     Dataset,
     build_cells,
@@ -42,28 +42,22 @@ def _parse_override(raw: str) -> tuple[str, object]:
     return key, value
 
 
-def _load_config_file(path: str) -> dict:
+def _load_json_object(path: str, fld: str) -> dict:
+    """The JSON object in the file at path; ConfigError(fld) otherwise."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
+        raise ConfigError(fld, f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"{path} is not valid JSON: {exc}") from exc
+        raise ConfigError(fld, f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config", f"{path} must hold a JSON object")
+        raise ConfigError(fld, f"{path} must hold a JSON object")
     return data
 
 
 def _load_worlds(path: str, dataset: Dataset) -> ScriptedBackend:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("worlds", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("worlds", f"{path} is not valid JSON: {exc}") from exc
-    specs = data.get("worlds")
+    specs = _load_json_object(path, "worlds").get("worlds")
     if not isinstance(specs, dict):
         raise ConfigError("worlds", f"{path} must hold a 'worlds' object keyed by id")
     by_text = {}
@@ -114,7 +108,7 @@ def _effective_search_config(config: dict, args) -> SearchConfig:
 
 
 def _run_cells(args, axis: str | None = None, values: list | None = None) -> int:
-    config = _load_config_file(args.config)
+    config = _load_json_object(args.config, "config")
     dataset_path = config.get("dataset")
     if not dataset_path:
         raise ConfigError("dataset", "config must name a dataset JSONL file")
@@ -221,21 +215,19 @@ def _resolve_run_file(args) -> str:
 
 
 def _cmd_inspect(args) -> int:
-    path = _resolve_run_file(args)
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    selected = data["pool"][data["selected_index"]]
-    print(f"question:  {data['question_id']}")
-    print(f"strategy:  {data['strategy']}  (selector={data['selection_method']})")
-    print(f"answer:    {selected['answer']!r}"
-          f"  score={selected['final_score']}"
-          f"  origin={selected['origin']}")
-    print(f"depth:     {len(data['rounds'])} rounds"
-          f"  stopped_early={data['stopped_early']}")
+    result = RunResult.from_json_dict(_load_json_object(_resolve_run_file(args), "inspect"))
+    selected = result.selected
+    print(f"question:  {result.question_id}")
+    print(f"strategy:  {result.strategy}  (selector={result.selection_method})")
+    print(f"answer:    {selected.answer!r}"
+          f"  score={selected.final_score}"
+          f"  origin={selected.origin}")
+    print(f"depth:     {result.depth} rounds"
+          f"  stopped_early={result.stopped_early}")
     print()
     print("selected path steps:")
     print(f"{'step':>4}  {'score':>7}  {'endpoint':>8}  checkpoint answer")
-    for row in data.get("selected_trace", []):
+    for row in result.selected_trace:
         score = "" if row.get("step_score") is None else f"{row['step_score']:.4f}"
         endpoint = "" if row.get("endpoint_score") is None else f"{row['endpoint_score']:.4f}"
         answer = row.get("checkpoint_answer") or ""
@@ -244,13 +236,12 @@ def _cmd_inspect(args) -> int:
         print(f"      {text[:100]}")
     print()
     print("pool:")
-    for i, cand in enumerate(data["pool"]):
-        marker = "*" if i == data["selected_index"] else " "
-        origin = "checkpoint" if cand["origin"] == "checkpoint" else "natural"
-        score = cand["final_score"]
-        shown = "" if score is None else f"{score:.4f}"
+    for i, cand in enumerate(result.pool):
+        marker = "*" if i == result.selected_index else " "
+        origin = "checkpoint" if cand.from_checkpoint else "natural"
+        shown = "" if cand.final_score is None else f"{cand.final_score:.4f}"
         print(f" {marker} [{i:>2}] {origin:<10} score={shown:<7}"
-              f" answer={cand['answer']!r}")
+              f" answer={cand.answer!r}")
     return 0
 
 

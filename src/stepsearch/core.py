@@ -315,8 +315,59 @@ class ReasoningPath:
         self.checkpoint_answers[answer.step_index] = answer
 
 
+class _Record:
+    """Base of a dataclass whose JSON form is its fields, by name: tuples and
+    lists are written as lists, nested records in their own JSON form, and
+    fields declared with repr=False are left out."""
+
+    # The JSON field names in declaration order, set once per class by
+    # @_record.  They lead the __init__ parameters, so from_json_dict passes
+    # their values positionally, which costs less than unpacking a dict.
+    _json_fields: tuple[str, ...] = ()
+
+    def to_json_dict(self) -> dict:
+        data = {}
+        for name in self._json_fields:
+            value = getattr(self, name)
+            encode = _JSON_ENCODERS.get(type(value))
+            data[name] = value if encode is None else encode(value)
+        return data
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        return cls(*cls._json_values(data))
+
+    @classmethod
+    def _json_values(cls, data: dict) -> tuple:
+        """data's values in field order; ValueError unless its keys are
+        exactly the JSON fields."""
+        try:
+            values = cls._json_getter(data)
+            if len(values) == len(data):
+                return values
+        except KeyError:
+            pass
+        raise ValueError(f"{cls.__name__} keys {sorted(data)} are not {list(cls._json_fields)}")
+
+
+def _record(cls):
+    cls._json_fields = tuple(f.name for f in fields(cls) if f.repr)
+    cls._json_getter = itemgetter(*cls._json_fields)
+    _JSON_ENCODERS[cls] = cls.to_json_dict
+    return cls
+
+
+def _json_list(items) -> list:
+    return [item.to_json_dict() if isinstance(item, _Record) else item for item in items]
+
+
+# The JSON form of a value by its exact type; any other value is its own.
+_JSON_ENCODERS = {list: _json_list, tuple: _json_list}
+
+
+@_record
 @dataclass
-class Candidate:
+class Candidate(_Record):
     """A pool entry: a complete answer-bearing path, natural or checkpoint-built."""
 
     full_text: str
@@ -341,30 +392,11 @@ class Candidate:
             self.origin_step if self.origin_step is not None else -1,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "full_text": self.full_text,
-            "answer": self.answer,
-            "origin": self.origin,
-            "origin_step": self.origin_step,
-            "final_score": self.final_score,
-            "lineage": list(self.lineage),
-            "round_index": self.round_index,
-            "question_id": self.question_id,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Candidate":
-        return cls(
-            full_text=data["full_text"],
-            answer=data["answer"],
-            origin=data["origin"],
-            origin_step=data.get("origin_step"),
-            final_score=data.get("final_score"),
-            lineage=tuple(data.get("lineage", ())),
-            round_index=data.get("round_index"),
-            question_id=data.get("question_id", ""),
-        )
+        candidate = cls(*cls._json_values(data))
+        candidate.lineage = tuple(candidate.lineage)
+        return candidate
 
 
 def build_checkpoint_candidate(
@@ -404,8 +436,9 @@ class Cluster:
     aggregate: float
 
 
+@_record
 @dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Record):
     """Knobs for one search run.  n is the sampling budget per round, m the
     number of surviving paths; every survivor expands into n // m children."""
 
@@ -468,24 +501,18 @@ class SearchConfig:
     def branch_factor(self) -> int:
         return self.n // self.m
 
-    def to_json_dict(self) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["delimiters"] = list(self.delimiters)
-        return data
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "SearchConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
+        """A config from any of its JSON fields; the others keep their defaults."""
+        unknown = set(data).difference(cls._json_fields)
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown search config key")
-        known = dict(data)
-        if "delimiters" in known:
-            known["delimiters"] = tuple(known["delimiters"])
-        return cls(**known)
+        return cls(**data)
 
 
+@_record
 @dataclass
-class RoundRecord:
+class RoundRecord(_Record):
     """Diagnostics for one expansion round."""
 
     step_index: int
@@ -496,36 +523,23 @@ class RoundRecord:
     pooled_natural: int
     pooled_checkpoint: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "step_index": self.step_index,
-            "beams": self.beams,
-            "candidate_count": self.candidate_count,
-            "cluster_count": self.cluster_count,
-            "selected": list(self.selected),
-            "pooled_natural": self.pooled_natural,
-            "pooled_checkpoint": self.pooled_checkpoint,
-        }
 
-
+@_record
 @dataclass
-class TokenStats:
+class TokenStats(_Record):
     generated_tokens: int = 0
     generator_calls: int = 0
     reward_calls: int = 0
     reward_tokens: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "generated_tokens": self.generated_tokens,
-            "generator_calls": self.generator_calls,
-            "reward_calls": self.reward_calls,
-            "reward_tokens": self.reward_tokens,
-        }
+
+# RunResult fields that label a run; its transcript leaves them out.
+_RUN_LABELS = ("strategy", "selection_method", "config", "selected_trace")
 
 
+@_record
 @dataclass
-class RunResult:
+class RunResult(_Record):
     """Everything one search run produced for one question."""
 
     question_id: str
@@ -548,51 +562,18 @@ class RunResult:
         return len(self.rounds)
 
     def transcript_dict(self) -> dict:
-        """Behavioral transcript: everything except strategy/config labels.
-
-        Two runs that made identical decisions over identical backend streams
-        produce equal transcripts even when launched under different strategy
-        names (used for degeneracy checks).
-        """
-        return {
-            "question_id": self.question_id,
-            "pool": [c.to_json_dict() for c in self.pool],
-            "selected_index": self.selected_index,
-            "rounds": [r.to_json_dict() for r in self.rounds],
-            "tokens": self.tokens.to_json_dict(),
-            "stopped_early": self.stopped_early,
-        }
-
-    def to_json_dict(self) -> dict:
-        data = self.transcript_dict()
-        data["strategy"] = self.strategy
-        data["selection_method"] = self.selection_method
-        data["config"] = dict(self.config)
-        data["selected_trace"] = list(self.selected_trace)
+        """The JSON form without its labels: two runs that made identical
+        decisions over identical backend streams have equal transcripts even
+        under different strategy names (used for degeneracy checks)."""
+        data = self.to_json_dict()
+        for label in _RUN_LABELS:
+            del data[label]
         return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunResult":
-        return cls(
-            question_id=data["question_id"],
-            strategy=data["strategy"],
-            pool=[Candidate.from_json_dict(c) for c in data["pool"]],
-            selected_index=data["selected_index"],
-            selection_method=data["selection_method"],
-            rounds=[
-                RoundRecord(
-                    step_index=r["step_index"],
-                    beams=r["beams"],
-                    candidate_count=r["candidate_count"],
-                    cluster_count=r.get("cluster_count"),
-                    selected=list(r["selected"]),
-                    pooled_natural=r["pooled_natural"],
-                    pooled_checkpoint=r["pooled_checkpoint"],
-                )
-                for r in data["rounds"]
-            ],
-            tokens=TokenStats(**data["tokens"]),
-            config=dict(data.get("config", {})),
-            stopped_early=data.get("stopped_early", False),
-            selected_trace=list(data.get("selected_trace", [])),
-        )
+        result = cls(*cls._json_values(data))
+        result.pool = [Candidate.from_json_dict(c) for c in result.pool]
+        result.rounds = [RoundRecord.from_json_dict(r) for r in result.rounds]
+        result.tokens = TokenStats.from_json_dict(result.tokens)
+        return result

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 from .backends import ProtocolError, TransportError, WorldError
 from .core import (
+    STRATEGIES,
     ConfigError,
     Question,
     RunResult,
@@ -29,15 +30,6 @@ from .strategies import run_search
 log = logging.getLogger(__name__)
 
 DEFAULT_KS = (1, 4, 16)
-
-_METHOD_DEFAULT_CCA = {
-    "greedy": False,
-    "independent": False,
-    "beam": False,
-    "dvts": False,
-    "srca": True,
-}
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -102,10 +94,10 @@ def parse_method_label(label: str, base: SearchConfig) -> SearchConfig:
         body, cca = body[: -len("+cca")], True
     elif body.endswith("-cca"):
         body, cca = body[: -len("-cca")], False
-    if body not in _METHOD_DEFAULT_CCA:
+    if body not in STRATEGIES:
         raise ConfigError("methods", f"unknown strategy in method label {label!r}")
     if cca is None:
-        cca = _METHOD_DEFAULT_CCA[body]
+        cca = body == "srca"
     return replace(base, strategy=body, cca_enabled=cca, selector=selector)
 
 
@@ -222,10 +214,6 @@ def compute_metrics(
 @dataclass
 class Report:
     rows: list[dict]
-    metadata: dict
-
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "metadata": self.metadata}
 
 
 def run_benchmark(
@@ -291,12 +279,7 @@ def run_benchmark(
             if rew_params:
                 row["reward_flops_estimate"] = 2 * rew_params * row.get("reward_tokens", 0)
         rows.append(row)
-    metadata = {
-        "dataset": dataset.name,
-        "cells": len(cells),
-        "results_dir": results_dir,
-    }
-    return Report(rows=rows, metadata=metadata)
+    return Report(rows=rows)
 
 
 _LEADING_COLUMNS = (

@@ -41,8 +41,6 @@ from dataclasses import replace
 from functools import partial
 from itertools import accumulate
 
-import requests
-
 from . import decision
 from .backends import derive_seed
 from .core import (
@@ -97,9 +95,9 @@ def round_robin_select(clusters: list[Cluster], scores: list[float], m: int) -> 
 
 
 # At most this many backend calls of one search are in flight at once: the
-# connections a requests.Session keeps open per host, so overlapped HTTP
-# calls reuse kept-alive connections instead of opening and dropping more.
-MAX_IN_FLIGHT = requests.adapters.DEFAULT_POOLSIZE
+# connections a requests.Session keeps open per host by default, so overlapped
+# HTTP calls reuse kept-alive connections instead of opening and dropping more.
+MAX_IN_FLIGHT = 10
 # A search overlaps its calls only when its first call waited at least this
 # long (wall time minus the thread's CPU time).  An in-process backend waits
 # on nothing, and handing its calls between threads under the GIL costs more
@@ -165,13 +163,14 @@ class _Engine:
         self.generator = generator
         self.reward = reward
         self.naturals: list[Candidate] = []
-        self.checkpoint_pool: list[Candidate] = []
-        self.forced: list[Candidate] = []
+        # Pooled checkpoint candidates with CCA on, or completed capped-out
+        # survivors with it off; never both.
+        self.checkpoints: list[Candidate] = []
         self.rounds: list[RoundRecord] = []
         self.tokens = TokenStats()
         self.stopped_early = False
         # Whether a pooled natural or checkpoint candidate scores above tau.
-        self._over_tau = False
+        self.pool_over_tau = False
         self._delimiter_re = delimiter_pattern(cfg.delimiters)
         self._waves = _Waves()
 
@@ -233,7 +232,7 @@ class _Engine:
         checkpoint candidate is scored after its injection and pooled."""
         for candidate in self._wave(scored, [(p, None) for p in injected], round_index, pool):
             if candidate is not None:
-                self.checkpoint_pool.append(candidate)
+                self.checkpoints.append(candidate)
                 self._note_pooled(candidate)
 
     def force_complete(
@@ -248,7 +247,7 @@ class _Engine:
         the one final injection, chained before the candidate's score."""
         ordered = sorted(survivors, key=lambda p: p.lineage_key())
         answers = [(p, p.checkpoint_answers.get(len(p.steps) - 1)) for p in ordered]
-        self.forced.extend(self._wave(scored, answers, round_index, True))
+        self.checkpoints.extend(self._wave(scored, answers, round_index, True))
 
     def _wave(
         self,
@@ -364,24 +363,13 @@ class _Engine:
 
     def _note_pooled(self, candidate: Candidate) -> None:
         if candidate.final_score is not None and candidate.final_score > self.cfg.tau:
-            self._over_tau = True
-
-    def pool_over_tau(self) -> bool:
-        """Whether a pooled natural or checkpoint candidate scores above tau."""
-        return self._over_tau
+            self.pool_over_tau = True
 
     # -- finishing ---------------------------------------------------------
 
     def assemble(self) -> list[Candidate]:
-        naturals = sorted(self.naturals, key=lambda c: c.lineage)
-        checkpoints = sorted(
-            self.checkpoint_pool, key=lambda c: (c.round_index, c.lineage)
-        )
-        if naturals or checkpoints:
-            pool = decision.assemble_pool(naturals, checkpoints, self.cfg.cca_enabled)
-        else:
-            pool = []
-        pool.extend(sorted(self.forced, key=lambda c: (c.round_index, c.lineage)))
+        pool = sorted(self.naturals, key=lambda c: c.lineage)
+        pool += sorted(self.checkpoints, key=lambda c: (c.round_index, c.lineage))
         if not pool:
             raise RuntimeError("search ended with an empty candidate pool")
         return pool
@@ -521,7 +509,7 @@ def _run_round_based(
                 keys = [p.checkpoint_answers[t].normalized for p in actives]
                 clusters = decision.rank_clusters(keys, reduced)
             selected: list[int] = []
-            if early_stop and engine.pool_over_tau():
+            if early_stop and engine.pool_over_tau:
                 engine.stopped_early = True
             elif actives:
                 selected = keep(actives, reduced, clusters, cfg)
@@ -628,8 +616,4 @@ _RUNNERS = {
 
 def run_search(question: Question, cfg: SearchConfig, generator, reward) -> RunResult:
     """Dispatch to the strategy named by cfg.strategy."""
-    try:
-        runner = _RUNNERS[cfg.strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {cfg.strategy!r}")
-    return runner(question, cfg, generator, reward)
+    return _RUNNERS[cfg.strategy](question, cfg, generator, reward)

@@ -120,6 +120,15 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_run_rejects_a_worlds_file_that_is_not_an_object(tmp_path, capsys):
+    config_path = _setup_project(tmp_path)
+    (tmp_path / "worlds.json").write_text("[1]", encoding="utf-8")
+    code = main(["run", "--config", str(config_path),
+                 "--results-dir", str(tmp_path / "results")])
+    assert code == 2
+    assert "worlds" in capsys.readouterr().err
+
+
 def test_sweep_crosses_axis_values(tmp_path, capsys):
     config_path = _setup_project(tmp_path, methods=["srca"])
     results = tmp_path / "results"
@@ -197,6 +206,23 @@ def test_inspect_missing_run_file(tmp_path, capsys):
     ])
     assert code == 2
     assert "no run file" in capsys.readouterr().err
+
+
+def test_inspect_rejects_a_run_file_with_an_unknown_key(tmp_path, capsys):
+    config_path = _setup_project(tmp_path, methods=["srca"])
+    results = tmp_path / "results"
+    main(["run", "--config", str(config_path), "--results-dir", str(results)])
+    capsys.readouterr()
+    (run_file,) = (results / "mini" / "srca").glob("*/q000.json")
+    data = json.loads(run_file.read_text(encoding="utf-8"))
+    data["pool"][0]["score"] = data["pool"][0].pop("final_score")
+    run_file.write_text(json.dumps(data), encoding="utf-8")
+    code = main([
+        "inspect", "--results-dir", str(results), "--dataset", "mini",
+        "--method", "srca", "--question", "q000",
+    ])
+    assert code == 2
+    assert "Candidate" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

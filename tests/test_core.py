@@ -407,6 +407,20 @@ def test_run_result_json_round_trip():
     assert again.rounds[0].cluster_count == 2
 
 
+def test_run_result_loader_rejects_unknown_and_missing_keys():
+    data = _result().to_json_dict()
+    with pytest.raises(ValueError, match="RunResult"):
+        RunResult.from_json_dict({**data, "depth": 1})
+    with pytest.raises(ValueError, match="RunResult"):
+        RunResult.from_json_dict({k: v for k, v in data.items() if k != "stopped_early"})
+    pool = [{k: v for k, v in data["pool"][0].items() if k != "lineage"}]
+    with pytest.raises(ValueError, match="Candidate"):
+        RunResult.from_json_dict({**data, "pool": pool, "selected_index": 0})
+    rounds = [dict(data["rounds"][0], beam_width=2)]
+    with pytest.raises(ValueError, match="RoundRecord"):
+        RunResult.from_json_dict({**data, "rounds": rounds})
+
+
 def test_question_and_step_are_frozen():
     with pytest.raises(AttributeError):
         Question("a", "b", "c").id = "x"

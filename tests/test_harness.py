@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -413,3 +414,39 @@ def test_flops_estimates_scale_with_tokens(tmp_path):
     assert row["reward_flops_estimate"] == 2 * 500_000 * row["reward_tokens"]
     header = emit_report(report, "csv").splitlines()[0]
     assert "generator_flops_estimate" in header
+
+
+# ---------------------------------------------------------------------------
+# On-disk format
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the files run_benchmark and write_report write for the six demo
+# methods on the smoke suite (scripts/run_scripted_demo.py's defaults): each
+# report, and the run files as one digest over "<path> <sha256>" lines in
+# path order.  The golden digests in test_strategies.py hash to_json_dict();
+# these pin the bytes written.
+_DEMO_METHODS = ["greedy", "independent", "beam", "beam+cca", "dvts", "srca"]
+_DEMO_DIGESTS = {
+    "report.csv": "a839ba75d2e9b858e538155bda6d30b83264c0443495c9832ad7849aa13195e2",
+    "report.md": "a4019d3f139ec782e8cc5c4be5aba37321027abe00d9bcb2edc2d652b03585a7",
+    "run files": "063d2abc509b9ae4bac50be7b47ed80683e282abde90dd55cb112e5bf42bc839",
+}
+
+
+def test_demo_files_match_pinned_digests(smoke_suite, tmp_path):
+    dataset, backend = smoke_suite
+    cells = build_cells(SearchConfig(n=4, m=2, max_steps=8, seed=0), _DEMO_METHODS)
+    write_report(run_benchmark(cells, dataset, backend, backend, str(tmp_path)), str(tmp_path))
+    files = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*") if path.is_file()
+    }
+    run_files = sorted(name for name in files if name.endswith(".json"))
+    assert len(run_files) == len(_DEMO_METHODS) * len(dataset.questions)
+    listing = "".join(f"{name} {files[name]}\n" for name in run_files)
+    digests = {
+        "report.csv": files["report.csv"],
+        "report.md": files["report.md"],
+        "run files": hashlib.sha256(listing.encode()).hexdigest(),
+    }
+    assert digests == _DEMO_DIGESTS

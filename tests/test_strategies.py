@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import pytest
 from stepsearch import (
     Cluster,
     Question,
+    RunResult,
     ScriptedBackend,
     SearchConfig,
     cluster_by_answer,
@@ -325,3 +327,27 @@ def test_run_files_match_golden_digests(smoke_suite, label):
                 result = run_search(question, cfg, backend, backend)
                 digest.update(json.dumps(result.to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == _GOLDEN_DIGESTS[label]
+
+
+def test_golden_run_files_round_trip_through_run_result(smoke_suite):
+    """Every golden method's run files load back into equal results, among
+    them unscored greedy candidates, trace rows and, under a step cap of 2,
+    forced completions."""
+    dataset, backend = smoke_suite
+    seen = set()
+    for label in sorted(_GOLDEN_DIGESTS):
+        for (n, m), max_steps in itertools.product(_GOLDEN_SHAPES, (2, 8)):
+            cfg = parse_method_label(label, SearchConfig(n=n, m=m, max_steps=max_steps))
+            for question in dataset.questions:
+                result = run_search(question, cfg, backend, backend)
+                data = json.loads(json.dumps(result.to_json_dict()))
+                again = RunResult.from_json_dict(data)
+                assert again == result
+                assert again.to_json_dict() == data
+                if any(c.final_score is None for c in again.pool):
+                    seen.add("unscored")
+                if not cfg.cca_enabled and any(c.from_checkpoint for c in again.pool):
+                    seen.add("forced")
+                if again.selected_trace:
+                    seen.add("trace")
+    assert seen == {"unscored", "forced", "trace"}
