@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the bundled 20-question scripted benchmark across all five methods.
+"""Run the bundled 20-question scripted benchmark across six method labels.
 
 Writes per-run JSON files, report.csv, and report.md under --results-dir,
 then prints the markdown accuracy pivot.  Everything is deterministic, so

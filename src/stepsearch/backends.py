@@ -461,6 +461,15 @@ class _HttpClient:
         self.offline = offline
         self._session = session or requests.Session()
 
+    @classmethod
+    def from_env(cls, **kwargs):
+        """A client for the URL in the environment variable cls.url_env."""
+        url = os.environ.get(cls.url_env)
+        if not url:
+            raise MissingEnvError(cls.url_env)
+        timeout = int(os.environ.get(ENV_TIMEOUT_MS, "30000"))
+        return cls(url, timeout_ms=timeout, **kwargs)
+
     def _post(self, route: str, kind: str, payload: dict) -> dict:
         cache_key = None
         if self.cache is not None:
@@ -502,17 +511,11 @@ class _HttpClient:
 class HttpGenerator(_HttpClient):
     """Completion client for POST {base_url}/v1/completions."""
 
+    url_env = ENV_GENERATOR_URL
+
     def __init__(self, base_url: str, model: str = "default", **kwargs):
         super().__init__(base_url, **kwargs)
         self.model = model
-
-    @classmethod
-    def from_env(cls, **kwargs) -> "HttpGenerator":
-        url = os.environ.get(ENV_GENERATOR_URL)
-        if not url:
-            raise MissingEnvError(ENV_GENERATOR_URL)
-        timeout = int(os.environ.get(ENV_TIMEOUT_MS, "30000"))
-        return cls(url, timeout_ms=timeout, **kwargs)
 
     def complete(self, request: GeneratorRequest) -> list[Continuation]:
         payload = request.to_payload(self.model)
@@ -563,19 +566,13 @@ class HttpGenerator(_HttpClient):
 class HttpReward(_HttpClient):
     """Step scoring client for POST {base_url}/v1/score."""
 
+    url_env = ENV_REWARD_URL
+
     def __init__(self, base_url: str, **kwargs):
         super().__init__(base_url, **kwargs)
         # Searches that overlap their calls score from several threads.
         self._clamp_lock = threading.Lock()
         self.clamp_warnings = 0
-
-    @classmethod
-    def from_env(cls, **kwargs) -> "HttpReward":
-        url = os.environ.get(ENV_REWARD_URL)
-        if not url:
-            raise MissingEnvError(ENV_REWARD_URL)
-        timeout = int(os.environ.get(ENV_TIMEOUT_MS, "30000"))
-        return cls(url, timeout_ms=timeout, **kwargs)
 
     def score_steps(self, question: str, steps: list[str]) -> list[float]:
         if not steps:

@@ -174,10 +174,6 @@ def _run_cells(args, axis: str | None = None, values: list | None = None) -> int
     return 1 if failed else 0
 
 
-def _cmd_run(args) -> int:
-    return _run_cells(args)
-
-
 def _cmd_sweep(args) -> int:
     values: list = []
     for chunk in args.values.split(","):
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run every configured method over a dataset")
     add_run_flags(run_p)
-    run_p.set_defaults(func=_cmd_run)
+    run_p.set_defaults(func=_run_cells)
 
     sweep_p = sub.add_parser("sweep", help="run methods across an n or tau axis")
     add_run_flags(sweep_p)

@@ -25,7 +25,6 @@ SELECTORS = ("bon", "weighted_bon", "majority")
 
 PATH_ACTIVE = "active"
 PATH_FINISHED = "finished_natural"
-PATH_PRUNED = "pruned"
 
 ORIGIN_NATURAL = "natural"
 ORIGIN_CHECKPOINT = "checkpoint"
@@ -302,11 +301,6 @@ class ReasoningPath:
             raise ValueError(f"cannot finish a path in status {self.status!r}")
         self.status = PATH_FINISHED
 
-    def prune(self) -> None:
-        if self.status != PATH_ACTIVE:
-            raise ValueError(f"cannot prune a path in status {self.status!r}")
-        self.status = PATH_PRUNED
-
     def record_checkpoint(self, answer: CheckpointAnswer) -> None:
         if answer.step_index in self.checkpoint_answers:
             raise ValueError(
@@ -339,8 +333,10 @@ class _Record:
 
     @classmethod
     def _json_values(cls, data: dict) -> tuple:
-        """data's values in field order; ValueError unless its keys are
-        exactly the JSON fields."""
+        """data's values in field order; ValueError unless it is a dict whose
+        keys are exactly the JSON fields."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{cls.__name__} record is not a JSON object: {data!r}")
         try:
             values = cls._json_getter(data)
             if len(values) == len(data):

@@ -29,25 +29,6 @@ def _require_scored(pool: list[Candidate]) -> None:
             raise ValueError(f"candidate {i} is unscored")
 
 
-def assemble_pool(
-    natural: list[Candidate], checkpoint: list[Candidate], cca_enabled: bool
-) -> list[Candidate]:
-    """Final pool: naturals plus checkpoint candidates when CCA is on,
-    naturals only otherwise."""
-    if not natural and not checkpoint:
-        raise ValueError(
-            "both candidate lists are empty; runs must force-complete surviving "
-            "paths so the pool is never empty"
-        )
-    for name, group in (("natural", natural), ("checkpoint", checkpoint)):
-        for c in group:
-            if c.final_score is None:
-                raise ValueError(f"unscored {name} candidate in pool assembly")
-    if cca_enabled:
-        return list(natural) + list(checkpoint)
-    return list(natural)
-
-
 def select_bon(pool: list[Candidate]) -> Selection:
     """Argmax of final_score; ties prefer natural endings, then lineage order."""
     _require_scored(pool)

@@ -23,6 +23,7 @@ from .core import (
     Question,
     RunResult,
     SearchConfig,
+    TokenStats,
     normalize_answer,
 )
 from .strategies import run_search
@@ -157,10 +158,7 @@ def compute_metrics(
     correct = 0
     car_hits = 0
     depth_total = 0
-    gen_tokens = 0
-    gen_calls = 0
-    rew_calls = 0
-    rew_tokens = 0
+    budget = dict.fromkeys(TokenStats._json_fields, 0)
     pass_full = {k: 0 for k in ks}
     pass_natural = {k: 0 for k in ks}
     for result in results:
@@ -180,10 +178,8 @@ def compute_metrics(
         if result.selected.from_checkpoint:
             car_hits += 1
         depth_total += result.depth
-        gen_tokens += result.tokens.generated_tokens
-        gen_calls += result.tokens.generator_calls
-        rew_calls += result.tokens.reward_calls
-        rew_tokens += result.tokens.reward_tokens
+        for name in budget:
+            budget[name] += getattr(result.tokens, name)
         first = _first_hit(hits)
         first_natural = _first_hit(
             [hit for c, hit in zip(result.pool, hits) if c.origin == "natural"]
@@ -199,11 +195,8 @@ def compute_metrics(
         "accuracy": correct / n,
         "car": car_hits / n,
         "mean_depth": depth_total / n,
-        "mean_generated_tokens": gen_tokens / n,
-        "generator_calls": gen_calls,
-        "reward_calls": rew_calls,
-        "reward_tokens": rew_tokens,
-        "generated_tokens": gen_tokens,
+        "mean_generated_tokens": budget["generated_tokens"] / n,
+        **budget,
     }
     for k in ks:
         row[f"pass@{k}"] = pass_full[k] / n

@@ -220,46 +220,17 @@ class _Engine:
 
     # -- scoring and injection ---------------------------------------------
 
-    def score_and_inject(
-        self,
-        scored: list[ReasoningPath],
-        injected: list[ReasoningPath],
-        round_index: int,
-        pool: bool,
-    ) -> None:
-        """One wave: score every path of scored, and force a checkpoint answer
-        out of every path of injected.  With pool, each injected path's
-        checkpoint candidate is scored after its injection and pooled."""
-        for candidate in self._wave(scored, [(p, None) for p in injected], round_index, pool):
-            if candidate is not None:
-                self.checkpoints.append(candidate)
-                self._note_pooled(candidate)
-
-    def force_complete(
-        self,
-        survivors: list[ReasoningPath],
-        round_index: int,
-        scored: list[ReasoningPath],
-    ) -> None:
-        """One wave: score every path of scored, and complete capped-out
-        survivors through their last checkpoint answer so the pool is never
-        empty.  Reuses an answer the round loop recorded; otherwise issues
-        the one final injection, chained before the candidate's score."""
-        ordered = sorted(survivors, key=lambda p: p.lineage_key())
-        answers = [(p, p.checkpoint_answers.get(len(p.steps) - 1)) for p in ordered]
-        self.checkpoints.extend(self._wave(scored, answers, round_index, True))
-
-    def _wave(
+    def wave(
         self,
         scored: list[ReasoningPath],
         checkpoints: list[tuple[ReasoningPath, CheckpointAnswer | None]],
         round_index: int,
         complete: bool,
-    ) -> list[Candidate | None]:
+    ) -> None:
         """One wave: score every path of scored; for each (path, answer) of
         checkpoints, force the answer out of path's last step unless it is
-        given and, with complete, score the candidate completing path
-        through it.  Returns those candidates (None without complete)."""
+        given and, with complete, score and pool the checkpoint candidate
+        completing path through it."""
         question = self.question.text
         calls = [
             partial(self.reward.score_steps, question, list(map(step_text, p.steps)))
@@ -271,7 +242,6 @@ class _Engine:
             path.score_sequence = list(map(float, seq))
             self.tokens.reward_calls += 1
             self.tokens.reward_tokens += path.step_tokens()
-        candidates = []
         for (path, given), (answer, candidate, tokens) in zip(checkpoints, replies[len(scored) :]):
             if given is None:
                 self.tokens.generator_calls += 1
@@ -280,8 +250,8 @@ class _Engine:
             if candidate is not None:
                 self.tokens.reward_calls += 1
                 self.tokens.reward_tokens += tokens
-            candidates.append(candidate)
-        return candidates
+                self.checkpoints.append(candidate)
+                self._note_pooled(candidate)
 
     def _checkpoint_call(
         self,
@@ -290,7 +260,7 @@ class _Engine:
         round_index: int,
         complete: bool,
     ):
-        """The call for one (path, answer) of _wave; it returns (answer,
+        """The call for one (path, answer) of wave; it returns (answer,
         scored candidate or None, the candidate's reward tokens)."""
         prefix = self.question.text + path.text() if answer is None else None
 
@@ -498,8 +468,11 @@ def _run_round_based(
             assert len(candidates) == len(parents) * per_parent
             finished = [p for p in candidates if p.status == PATH_FINISHED]
             actives = [p for p in candidates if p.status == PATH_ACTIVE]
-            engine.score_and_inject(
-                finished if independent else candidates, actives if inject else [], t, cca
+            engine.wave(
+                finished if independent else candidates,
+                [(p, None) for p in actives] if inject else [],
+                t,
+                cca,
             )
             for path in finished:
                 engine.pool_natural(path)
@@ -528,16 +501,20 @@ def _run_round_based(
             )
             if not selected:
                 break
-            chosen = set(selected)
-            for i, path in enumerate(actives):
-                if i not in chosen:
-                    path.prune()
             active = [actives[i] for i in selected]
         else:
-            # Hit the step cap with survivors; checkpoint-complete them so the
-            # pool is never empty.  With CCA on they are already pooled.
+            # Hit the step cap with survivors; complete each, in lineage order,
+            # through the answer recorded at its last step (injecting one where
+            # none was) so the pool is never empty.  With CCA on they are
+            # already pooled.
             if not cca:
-                engine.force_complete(active, cfg.max_steps - 1, active if independent else [])
+                survivors = sorted(active, key=ReasoningPath.lineage_key)
+                engine.wave(
+                    active if independent else [],
+                    [(p, p.checkpoint_answers.get(len(p.steps) - 1)) for p in survivors],
+                    cfg.max_steps - 1,
+                    True,
+                )
         pool = engine.assemble()
         return engine.finalize(pool, _select(pool, cfg))
 
@@ -587,7 +564,7 @@ def run_greedy(question: Question, cfg: SearchConfig, generator, reward) -> RunR
                 candidate = engine.natural_candidate(path)
                 break
         else:
-            engine.score_and_inject([], [path], t, pool=False)
+            engine.wave([], [(path, None)], t, complete=False)
             answer = path.checkpoint_answers[t]
             candidate = build_checkpoint_candidate(path, cfg.injection_template, answer)
             candidate.round_index = t

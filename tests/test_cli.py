@@ -225,6 +225,29 @@ def test_inspect_rejects_a_run_file_with_an_unknown_key(tmp_path, capsys):
     assert "Candidate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, record",
+    [("pool", [1], "Candidate"), ("tokens", [1, 2, 3, 4], "TokenStats"),
+     ("rounds", ["x"], "RoundRecord")],
+    ids=["pool", "tokens", "rounds"],
+)
+def test_inspect_rejects_a_record_that_is_not_an_object(tmp_path, capsys, key, value, record):
+    config_path = _setup_project(tmp_path, methods=["srca"])
+    results = tmp_path / "results"
+    main(["run", "--config", str(config_path), "--results-dir", str(results)])
+    capsys.readouterr()
+    (run_file,) = (results / "mini" / "srca").glob("*/q000.json")
+    data = json.loads(run_file.read_text(encoding="utf-8"))
+    data[key] = value
+    run_file.write_text(json.dumps(data), encoding="utf-8")
+    code = main([
+        "inspect", "--results-dir", str(results), "--dataset", "mini",
+        "--method", "srca", "--question", "q000",
+    ])
+    assert code == 2
+    assert f"{record} record is not a JSON object" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     config_path = _setup_project(tmp_path, methods=["greedy"], question_count=1)
     results = tmp_path / "results"

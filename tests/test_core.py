@@ -237,12 +237,6 @@ def test_path_status_transitions():
     path.finish()
     with pytest.raises(ValueError):
         path.finish()
-    with pytest.raises(ValueError):
-        path.prune()
-    other = _path()
-    other.prune()
-    with pytest.raises(ValueError):
-        other.finish()
 
 
 def test_path_checkpoint_recording():

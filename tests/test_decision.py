@@ -7,7 +7,6 @@ from stepsearch import (
     ORIGIN_CHECKPOINT,
     ORIGIN_NATURAL,
     Candidate,
-    assemble_pool,
     select_bon,
     select_majority,
     select_weighted_bon,
@@ -23,27 +22,6 @@ def cand(answer, score, *, natural=True, lineage=(0,), step=None):
         final_score=score,
         lineage=lineage,
     )
-
-
-# ---------------------------------------------------------------------------
-# Pool assembly
-# ---------------------------------------------------------------------------
-
-
-def test_assemble_pool_gates_checkpoints_on_flag():
-    nat = [cand("1", 0.5)]
-    chk = [cand("2", 0.9, natural=False, step=0)]
-    assert assemble_pool(nat, chk, cca_enabled=True) == nat + chk
-    assert assemble_pool(nat, chk, cca_enabled=False) == nat
-
-
-def test_assemble_pool_rejects_empty_and_unscored():
-    with pytest.raises(ValueError, match="force-complete"):
-        assemble_pool([], [], cca_enabled=True)
-    with pytest.raises(ValueError, match="unscored natural"):
-        assemble_pool([cand("1", None)], [], cca_enabled=True)
-    with pytest.raises(ValueError, match="unscored checkpoint"):
-        assemble_pool([cand("1", 0.2)], [cand("2", None, natural=False)], True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ wave of independent calls on its own thread pool, and its run files, token
 counters and requests equal those of a one-call-at-a-time search."""
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import threading
@@ -23,7 +24,7 @@ from stepsearch import (
     run_benchmark,
     run_search,
 )
-from stepsearch.strategies import MAX_IN_FLIGHT
+from stepsearch.strategies import MAX_IN_FLIGHT, _Waves
 
 # The method labels the golden run-file digests pin (tests/test_strategies.py).
 _LABELS = [
@@ -193,3 +194,74 @@ def test_http_overlapped_runs_equal_in_process_runs(stub_server, smoke_suite):
     # Every request went through the one session the caller passed.
     assert session.posts == len(state.requests)
     assert serving[1] > 1
+
+
+def _expected_waves(result, label: str) -> list[int]:
+    """The wave sizes a search's run file implies: each round an expansion
+    wave, one call per parent, then (except greedy) a wave that scores the
+    candidates (only the finished ones for independent paths) and injects
+    each active one when the round clusters; at the step cap, survivors are
+    completed in one more wave, along with their scores for independent
+    paths."""
+    cfg = parse_method_label(label, SearchConfig())
+    independent = cfg.strategy == "independent"
+    waves, parents = [], 1
+    for r in result.rounds:
+        waves.append(parents)
+        if cfg.strategy != "greedy":
+            injected = 0 if r.cluster_count is None else r.candidate_count - r.pooled_natural
+            waves.append((r.pooled_natural if independent else r.candidate_count) + injected)
+        parents = len(r.selected)
+    pooled_each_round = cfg.cca_enabled and not independent
+    if len(result.rounds) == result.config["max_steps"] and parents and not pooled_each_round:
+        waves.append(parents * (2 if independent else 1))
+    return waves
+
+
+# SHA-256 over json.dumps of each search's wave sizes, for every smoke
+# question at step caps 8 and 3 in order (n=4, m=2, seed 0).
+_WAVE_DIGESTS = {
+    "greedy": "b7d1df9e6ea25ef5f82d9aad796bbb9873e19cf123a018639b2459ae67eed753",
+    "independent": "90cc0c801df38b1d31ef3affa1093fa337216b6a936b65333fb73a5f9a91dcea",
+    "independent+cca": "90cc0c801df38b1d31ef3affa1093fa337216b6a936b65333fb73a5f9a91dcea",
+    "beam": "38314037515a066cb4ad376124641292b266efb8de4ba0562e054d0d816a97fc",
+    "beam+cca": "16388df8ef8bba736160ef777109de1fb8261f124564bcc1748a34bdca17350b",
+    "dvts": "32da2c146e18d6069568dd9fbd2aa804b6b1999c9f2de6a70730633527b27ec5",
+    "dvts+cca": "cf9f7d5a38f32e99516e396ed52f6c411c88b558c945e942bb0ab351cbf97979",
+    "srca": "5d3a58c615dcd60e0c24e18de4ecf206a01956e427ebacdb7c0d7cf300c63e6f",
+    "srca-cca": "623210cc7b38d129192b22c47fbd4f3557836dda44e3a2e93e736973700fa128",
+    "srca@weighted_bon": "5d3a58c615dcd60e0c24e18de4ecf206a01956e427ebacdb7c0d7cf300c63e6f",
+    "beam+cca@majority": "16388df8ef8bba736160ef777109de1fb8261f124564bcc1748a34bdca17350b",
+}
+
+
+@pytest.mark.parametrize("label", _LABELS)
+def test_each_round_sends_one_expansion_and_one_scoring_wave(smoke_suite, monkeypatch, label):
+    """critical_round_trips on the http benchmark counts these waves."""
+    dataset, backend = smoke_suite
+    sizes: list[int] = []
+    depth = 0
+    run = _Waves.run
+
+    def recording(self, calls):
+        # run recurses once after timing the search's first call; count
+        # only the wave the engine handed it.
+        nonlocal depth
+        if not depth:
+            sizes.append(len(calls))
+        depth += 1
+        try:
+            return run(self, calls)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(_Waves, "run", recording)
+    digest = hashlib.sha256()
+    for max_steps in (8, 3):
+        cfg = parse_method_label(label, SearchConfig(n=4, m=2, max_steps=max_steps, seed=0))
+        for question in dataset.questions:
+            sizes.clear()
+            result = run_search(question, cfg, backend, backend)
+            assert sizes == _expected_waves(result, label)
+            digest.update(json.dumps(sizes).encode())
+    assert digest.hexdigest() == _WAVE_DIGESTS[label]
