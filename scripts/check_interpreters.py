@@ -12,10 +12,13 @@ For each interpreter the script reports
   * tier1: the pytest summary line, or "skipped" with the reason when pytest
     cannot start there (a dependency the running interpreter lacks, such as
     exceptiongroup for 3.10); a skipped suite never counts as passed;
+  * normalization: the summary line of scripts/check_normalization.py, which
+    needs only the standard library and so runs where tier1 is skipped;
   * demo: whether scripts/run_scripted_demo.py wrote the same files, byte
     for byte, as it does under the running interpreter.
 
-Exits 1 when a suite fails or a demo differs or fails, else 0.
+Exits 1 when a suite fails, a normalization literal mismatches, or a demo
+differs or fails, else 0.
 
 Usage:
     python scripts/check_interpreters.py
@@ -33,6 +36,7 @@ import tempfile
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DEMO = os.path.join(ROOT, "scripts", "run_scripted_demo.py")
+NORMALIZATION = os.path.join(ROOT, "scripts", "check_normalization.py")
 # The test extras and the runtime dependency in pyproject.toml.
 ROOT_DISTRIBUTIONS = ("pytest", "hypothesis", "requests")
 MIN_VERSION = (3, 10)
@@ -122,6 +126,14 @@ def run_tier1(exe: str, env: dict) -> tuple[str, str]:
     return ("passed" if proc.returncode == 0 else "failed"), lines[-1]
 
 
+def run_normalization(exe: str, env: dict) -> tuple[bool, str]:
+    """(passed, summary line) of the normalization check."""
+    proc = subprocess.run([exe, NORMALIZATION], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
+    return proc.returncode == 0, lines[-1]
+
+
 def run_demo(exe: str, env: dict, results_dir: str) -> str | None:
     """None when the demo ran, else the error text."""
     proc = subprocess.run([exe, DEMO, "--results-dir", results_dir], cwd=ROOT, env=env,
@@ -171,6 +183,7 @@ def main() -> int:
         for i, (version, exe) in enumerate(found):
             label = ".".join(map(str, version))
             status, detail = run_tier1(exe, env)
+            normalized, summary = run_normalization(exe, env)
             out = os.path.join(scratch, f"demo-{i}")
             error = run_demo(exe, env, out)
             if error is not None:
@@ -180,8 +193,10 @@ def main() -> int:
                 demo = f"reference ({len(reference)} files)"
             else:
                 demo = compare(reference, read_tree(out))
-            failures += status == "failed" or demo.startswith(("FAILED", "DIFFERS"))
-            print(f"{label:>8}  {exe}\n          tier1: {status}: {detail}\n          demo:  {demo}")
+            failures += (status == "failed" or not normalized
+                         or demo.startswith(("FAILED", "DIFFERS")))
+            print(f"{label:>8}  {exe}\n          tier1: {status}: {detail}"
+                  f"\n          normalization: {summary}\n          demo:  {demo}")
         return 1 if failures else 0
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

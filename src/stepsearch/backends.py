@@ -438,6 +438,10 @@ class RequestCache:
 # ---------------------------------------------------------------------------
 
 
+# Tries per request before a transport failure becomes a TransportError.
+HTTP_ATTEMPTS = 3
+
+
 class _HttpClient:
     """Posts JSON requests through one requests.Session, the caller's when
     given.  A search that overlaps its calls posts from several threads
@@ -447,7 +451,6 @@ class _HttpClient:
         self,
         base_url: str,
         timeout_ms: int = 30000,
-        max_retries: int = 3,
         backoff_s: float = 0.25,
         session: requests.Session | None = None,
         cache: RequestCache | None = None,
@@ -455,7 +458,6 @@ class _HttpClient:
     ):
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_ms / 1000.0
-        self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.cache = cache
         self.offline = offline
@@ -484,16 +486,14 @@ class _HttpClient:
         if self.offline:
             raise ProtocolError("offline mode requires a request cache")
         url = self.base_url + route
-        last_exc: Exception | None = None
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, HTTP_ATTEMPTS + 1):
             try:
                 resp = self._session.post(url, json=payload, timeout=self.timeout_s)
             except requests.RequestException as exc:
-                last_exc = exc
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff_s * 2 ** (attempt - 1))
-                    continue
-                raise TransportError(f"cannot reach {url}: {exc}", attempts=attempt) from exc
+                if attempt == HTTP_ATTEMPTS:
+                    raise TransportError(f"cannot reach {url}: {exc}", attempts=attempt) from exc
+                time.sleep(self.backoff_s * 2 ** (attempt - 1))
+                continue
             if resp.status_code != 200:
                 raise ProtocolError(f"{url} answered HTTP {resp.status_code}")
             try:
@@ -505,7 +505,6 @@ class _HttpClient:
             if self.cache is not None and cache_key is not None:
                 self.cache.put(cache_key, data)
             return data
-        raise TransportError(f"cannot reach {url}: {last_exc}", attempts=self.max_retries)
 
 
 class HttpGenerator(_HttpClient):

@@ -98,7 +98,10 @@ def _build_backends(config: dict, dataset: Dataset):
 
 
 def _effective_search_config(config: dict, args) -> SearchConfig:
-    search = dict(config.get("search", {}))
+    search = config.get("search", {})
+    if not isinstance(search, dict):
+        raise ConfigError("search", "must be a JSON object")
+    search = dict(search)
     for raw in args.override or []:
         key, value = _parse_override(raw)
         search[key] = value
@@ -115,6 +118,8 @@ def _run_cells(args, axis: str | None = None, values: list | None = None) -> int
     dataset = load_dataset(dataset_path, name=config.get("dataset_name"))
     base = _effective_search_config(config, args)
     methods = config.get("methods", ["srca"])
+    if not isinstance(methods, list) or any(type(m) is not str for m in methods):
+        raise ConfigError("methods", "must be a list of method labels")
     n_values = values if axis == "n" else None
     tau_values = values if axis == "tau" else None
     cells = build_cells(base, methods, n_values=n_values, tau_values=tau_values)

@@ -454,9 +454,13 @@ class SearchConfig(_Record):
     max_step_tokens: int = 512
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        for name, accepted, kind in _SEARCH_FIELD_TYPES:
+            value = getattr(self, name)
+            if type(value) not in accepted:
+                raise ConfigError(name, f"must be {kind}, got {value!r}")
+        if self.n < 1:
             raise ConfigError("n", "must be an integer >= 1")
-        if not isinstance(self.m, int) or self.m < 1:
+        if self.m < 1:
             raise ConfigError("m", "must be an integer >= 1")
         if self.n < self.m:
             raise ConfigError("n", f"requires N >= M >= 1, got N={self.n} M={self.m}")
@@ -484,7 +488,7 @@ class SearchConfig(_Record):
             raise ConfigError(
                 "selector", f"must be one of {SELECTORS}, got {self.selector!r}"
             )
-        if not self.delimiters or any(not d for d in self.delimiters):
+        if not self.delimiters or any(type(d) is not str or not d for d in self.delimiters):
             raise ConfigError("delimiters", "must be a non-empty list of non-empty strings")
         if not isinstance(self.delimiters, tuple):
             object.__setattr__(self, "delimiters", tuple(self.delimiters))
@@ -504,6 +508,19 @@ class SearchConfig(_Record):
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown search config key")
         return cls(**data)
+
+
+# (name, accepted types, description) of each SearchConfig field, by the type
+# of its default.  Types match exactly, so a bool is no number; an int passes
+# for a float and stays an int, which keeps config_hash as it was.
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+    tuple: ((tuple, list), "a list of strings"),
+}
+_SEARCH_FIELD_TYPES = tuple((f.name, *_JSON_TYPES[type(f.default)]) for f in fields(SearchConfig))
 
 
 @_record

@@ -53,6 +53,8 @@ def load_dataset(path: str, name: str | None = None) -> Dataset:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             for fld in ("id", "question", "answer"):
                 if fld not in record:
                     raise ValueError(f"{path}:{lineno}: missing field {fld!r}")

@@ -223,27 +223,27 @@ class _Engine:
     def wave(
         self,
         scored: list[ReasoningPath],
-        checkpoints: list[tuple[ReasoningPath, CheckpointAnswer | None]],
+        checkpoints: list[ReasoningPath],
         round_index: int,
         complete: bool,
     ) -> None:
-        """One wave: score every path of scored; for each (path, answer) of
-        checkpoints, force the answer out of path's last step unless it is
-        given and, with complete, score and pool the checkpoint candidate
-        completing path through it."""
+        """One wave: score every path of scored; for each path of
+        checkpoints, force an answer out of its last step unless one is
+        recorded there and, with complete, score and pool the checkpoint
+        candidate completing the path through that answer."""
         question = self.question.text
         calls = [
             partial(self.reward.score_steps, question, list(map(step_text, p.steps)))
             for p in scored
         ]
-        calls += [self._checkpoint_call(p, a, round_index, complete) for p, a in checkpoints]
+        calls += [self._checkpoint_call(p, round_index, complete) for p in checkpoints]
         replies = self._waves.run(calls)
         for path, seq in zip(scored, replies):
             path.score_sequence = list(map(float, seq))
             self.tokens.reward_calls += 1
             self.tokens.reward_tokens += path.step_tokens()
-        for (path, given), (answer, candidate, tokens) in zip(checkpoints, replies[len(scored) :]):
-            if given is None:
+        for path, (answer, candidate, tokens) in zip(checkpoints, replies[len(scored) :]):
+            if answer.step_index not in path.checkpoint_answers:
                 self.tokens.generator_calls += 1
                 self.tokens.generated_tokens += approx_token_count(answer.raw_text)
                 path.record_checkpoint(answer)
@@ -253,15 +253,10 @@ class _Engine:
                 self.checkpoints.append(candidate)
                 self._note_pooled(candidate)
 
-    def _checkpoint_call(
-        self,
-        path: ReasoningPath,
-        answer: CheckpointAnswer | None,
-        round_index: int,
-        complete: bool,
-    ):
-        """The call for one (path, answer) of wave; it returns (answer,
+    def _checkpoint_call(self, path: ReasoningPath, round_index: int, complete: bool):
+        """The call for one path of wave's checkpoints; it returns (answer,
         scored candidate or None, the candidate's reward tokens)."""
+        answer = path.checkpoint_answers.get(len(path.steps) - 1)
         prefix = self.question.text + path.text() if answer is None else None
 
         def call():
@@ -296,7 +291,7 @@ class _Engine:
             texts = list(map(step_text, path.steps))
             offsets = list(accumulate(map(len, texts[:-1]), initial=0))
             starts = list(map(re.Match.start, self._delimiter_re.finditer(full)))
-            if starts == offsets or starts == offsets[1:]:
+            if starts == offsets:
                 tail = full[offsets[-1] :]
                 tokens = (
                     path.step_tokens()
@@ -470,7 +465,7 @@ def _run_round_based(
             actives = [p for p in candidates if p.status == PATH_ACTIVE]
             engine.wave(
                 finished if independent else candidates,
-                [(p, None) for p in actives] if inject else [],
+                actives if inject else [],
                 t,
                 cca,
             )
@@ -509,12 +504,7 @@ def _run_round_based(
             # already pooled.
             if not cca:
                 survivors = sorted(active, key=ReasoningPath.lineage_key)
-                engine.wave(
-                    active if independent else [],
-                    [(p, p.checkpoint_answers.get(len(p.steps) - 1)) for p in survivors],
-                    cfg.max_steps - 1,
-                    True,
-                )
+                engine.wave(active if independent else [], survivors, cfg.max_steps - 1, True)
         pool = engine.assemble()
         return engine.finalize(pool, _select(pool, cfg))
 
@@ -564,7 +554,7 @@ def run_greedy(question: Question, cfg: SearchConfig, generator, reward) -> RunR
                 candidate = engine.natural_candidate(path)
                 break
         else:
-            engine.wave([], [(path, None)], t, complete=False)
+            engine.wave([], [path], t, complete=False)
             answer = path.checkpoint_answers[t]
             candidate = build_checkpoint_candidate(path, cfg.injection_template, answer)
             candidate.round_index = t

@@ -7,6 +7,7 @@ Used to build test fixtures and runnable demos without any model server.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
 from .core import DEFAULT_INJECTION_TEMPLATE
@@ -15,71 +16,63 @@ _WORDS = (
     "combine", "carry", "total", "split", "expand", "reduce", "check",
     "substitute", "compare", "align", "scale", "simplify",
 )
+_DELIMITER = "### Step"
+_WEIGHTS = (1, 2, 3)
+_DECOYS = ("9", "14", "x+1")
 
 
-def _step_text(depth: int, tag: int, rng: random.Random, delimiter: str = "### Step") -> str:
+def _step_text(depth: int, tag: int, rng: random.Random) -> str:
     verb = rng.choice(_WORDS)
     noun = rng.choice(_WORDS)
-    return f"{delimiter} {depth}: {verb} the {noun} terms (v{tag})."
+    return f"{_DELIMITER} {depth}: {verb} the {noun} terms (v{tag})."
 
 
-def _leaf_text(depth: int, tag: int, answer: str, rng: random.Random,
-               delimiter: str = "### Step",
-               template: str = DEFAULT_INJECTION_TEMPLATE) -> str:
+def _leaf_text(depth: int, tag: int, answer: str, rng: random.Random) -> str:
     verb = rng.choice(_WORDS)
-    return f"{delimiter} {depth}: {verb} and finish (v{tag}). {template}{answer}."
+    return f"{_DELIMITER} {depth}: {verb} and finish (v{tag}). {DEFAULT_INJECTION_TEMPLATE}{answer}."
 
 
-def make_chain_world(
-    answers: list[str],
-    rewards: list[float],
-    gold: str,
-    final_answer: str | None = None,
-    checkpoint_rewards: list[float | None] | None = None,
-) -> dict:
+def _node(step: str, weight: int, reward: float, answer: str,
+          children: list[dict] | None = None, final: str | None = None,
+          checkpoint_reward: float | None = None) -> dict:
+    """A terminal leaf when `final` is given, otherwise an inner node over
+    `children`; `checkpoint_reward` is left out when None."""
+    node: dict = {"step": step, "weight": weight, "reward": reward,
+                  "checkpoint_answer": answer, "terminal": final is not None}
+    if final is not None:
+        node["final_answer"] = final
+    else:
+        node["children"] = children
+    if checkpoint_reward is not None:
+        node["checkpoint_reward"] = checkpoint_reward
+    return node
+
+
+def _world(gold: str, root_answer: str, children: list[dict]) -> dict:
+    return {"gold_answer": gold, "root": _node("", 1, 1.0, root_answer, children)}
+
+
+def make_chain_world(answers: list[str], rewards: list[float], gold: str,
+                     checkpoint_rewards: list[float | None] | None = None) -> dict:
     """Single chain: one node per step, leaf carries the natural answer.
 
     answers[i] is the checkpoint answer at step i+1; rewards[i] its step
-    reward.  The leaf reuses the last entries.
+    reward.  The leaf's final answer is its checkpoint answer, answers[-1].
     """
     if len(answers) != len(rewards) or not answers:
         raise ValueError("answers and rewards must be equal-length and non-empty")
-    final = final_answer if final_answer is not None else answers[-1]
     ckpt = checkpoint_rewards or [None] * len(answers)
     rng = random.Random(0)
-    node: dict = {
-        "step": _leaf_text(len(answers), 0, final, rng),
-        "weight": 1,
-        "reward": rewards[-1],
-        "checkpoint_answer": answers[-1],
-        "terminal": True,
-        "final_answer": final,
-    }
-    if ckpt[-1] is not None:
-        node["checkpoint_reward"] = ckpt[-1]
+    node = _node(
+        _leaf_text(len(answers), 0, answers[-1], rng), 1, rewards[-1], answers[-1],
+        final=answers[-1], checkpoint_reward=ckpt[-1],
+    )
     for i in range(len(answers) - 2, -1, -1):
-        parent: dict = {
-            "step": _step_text(i + 1, 0, rng),
-            "weight": 1,
-            "reward": rewards[i],
-            "checkpoint_answer": answers[i],
-            "terminal": False,
-            "children": [node],
-        }
-        if ckpt[i] is not None:
-            parent["checkpoint_reward"] = ckpt[i]
-        node = parent
-    return {
-        "gold_answer": gold,
-        "root": {
-            "step": "",
-            "weight": 1,
-            "reward": 1.0,
-            "checkpoint_answer": "",
-            "terminal": False,
-            "children": [node],
-        },
-    }
+        node = _node(
+            _step_text(i + 1, 0, rng), 1, rewards[i], answers[i], [node],
+            checkpoint_reward=ckpt[i],
+        )
+    return _world(gold, "", [node])
 
 
 def make_single_cluster_world(
@@ -89,59 +82,34 @@ def make_single_cluster_world(
     yields exactly one cluster.  Rewards are distinct to keep ordering
     tie-free."""
     rng = random.Random(seed)
-    counter = [0]
+    tags = itertools.count(1)
 
     def build(level: int) -> dict:
-        counter[0] += 1
-        tag = counter[0]
+        tag = next(tags)
         reward = round(0.05 + 0.9 * rng.random(), 6)
         if level == depth:
-            return {
-                "step": _leaf_text(level, tag, answer, rng),
-                "weight": rng.choice([1, 2, 3]),
-                "reward": reward,
-                "checkpoint_answer": answer,
-                "terminal": True,
-                "final_answer": answer,
-            }
-        return {
-            "step": _step_text(level, tag, rng),
-            "weight": rng.choice([1, 2, 3]),
-            "reward": reward,
-            "checkpoint_answer": answer,
-            "terminal": False,
-            "children": [build(level + 1) for _ in range(branching)],
-        }
+            return _node(
+                _leaf_text(level, tag, answer, rng), rng.choice(_WEIGHTS), reward, answer,
+                final=answer,
+            )
+        return _node(
+            _step_text(level, tag, rng), rng.choice(_WEIGHTS), reward, answer,
+            [build(level + 1) for _ in range(branching)],
+        )
 
-    return {
-        "gold_answer": answer,
-        "root": {
-            "step": "",
-            "weight": 1,
-            "reward": 1.0,
-            "checkpoint_answer": answer,
-            "terminal": False,
-            "children": [build(1) for _ in range(branching)],
-        },
-    }
+    return _world(answer, answer, [build(1) for _ in range(branching)])
 
 
-def make_random_world(
-    seed: int,
-    depth: int = 4,
-    branching: int = 2,
-    gold: str = "27",
-    decoys: tuple[str, ...] = ("9", "14", "x+1"),
-    ramp_checkpoint_rewards: bool = False,
-) -> dict:
+def make_random_world(seed: int, depth: int = 4, branching: int = 2, gold: str = "27",
+                      ramp_checkpoint_rewards: bool = False) -> dict:
     """Branching world with mixed right/wrong checkpoint answers.
 
     With ramp_checkpoint_rewards, endpoint scores grow with depth, which makes
     early-stopping thresholds bite at different depths.
     """
     rng = random.Random(seed)
-    answers = (gold,) + decoys
-    counter = [0]
+    answers = (gold,) + _DECOYS
+    tags = itertools.count(1)
 
     def pick_answer(level: int) -> str:
         # Deeper steps are likelier to have settled on the gold answer.
@@ -149,45 +117,28 @@ def make_random_world(
             return gold
         return rng.choice(answers)
 
-    def build(level: int) -> dict:
-        counter[0] += 1
-        tag = counter[0]
-        reward = round(0.1 + 0.8 * rng.random(), 6)
-        terminal = level >= depth or (level > 1 and rng.random() < 0.15)
-        if terminal:
-            final = gold if rng.random() < 0.6 else rng.choice(decoys)
-            return {
-                "step": _leaf_text(level, tag, final, rng),
-                "weight": rng.choice([1, 2, 3]),
-                "reward": reward,
-                "checkpoint_answer": final,
-                "terminal": True,
-                "final_answer": final,
-            }
-        node = {
-            "step": _step_text(level, tag, rng),
-            "weight": rng.choice([1, 2, 3]),
-            "reward": reward,
-            "checkpoint_answer": pick_answer(level),
-            "terminal": False,
-            "children": [build(level + 1) for _ in range(branching)],
-        }
-        if ramp_checkpoint_rewards:
-            base = 0.35 + 0.6 * level / depth
-            node["checkpoint_reward"] = round(min(1.0, base + 0.05 * rng.random()), 6)
-        return node
+    def ramp(level: int) -> float:
+        base = 0.35 + 0.6 * level / depth
+        return round(min(1.0, base + 0.05 * rng.random()), 6)
 
-    return {
-        "gold_answer": gold,
-        "root": {
-            "step": "",
-            "weight": 1,
-            "reward": 1.0,
-            "checkpoint_answer": "",
-            "terminal": False,
-            "children": [build(1) for _ in range(branching)],
-        },
-    }
+    def build(level: int) -> dict:
+        tag = next(tags)
+        reward = round(0.1 + 0.8 * rng.random(), 6)
+        if level >= depth or (level > 1 and rng.random() < 0.15):
+            final = gold if rng.random() < 0.6 else rng.choice(_DECOYS)
+            return _node(
+                _leaf_text(level, tag, final, rng), rng.choice(_WEIGHTS), reward, final,
+                final=final,
+            )
+        # Arguments are evaluated in order, so the ramped checkpoint reward
+        # is drawn after the whole subtree.
+        return _node(
+            _step_text(level, tag, rng), rng.choice(_WEIGHTS), reward, pick_answer(level),
+            [build(level + 1) for _ in range(branching)],
+            checkpoint_reward=ramp(level) if ramp_checkpoint_rewards else None,
+        )
+
+    return _world(gold, "", [build(1) for _ in range(branching)])
 
 
 def make_suite(

@@ -129,6 +129,34 @@ def test_run_rejects_a_worlds_file_that_is_not_an_object(tmp_path, capsys):
     assert "worlds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"search": [1]}, "search"),
+        ({"methods": "srca"}, "methods"),
+        ({"methods": ["srca", 1]}, "methods"),
+        ({"search": {"seed": "1"}}, "seed"),
+        ({"search": {"cca_enabled": "false"}}, "cca_enabled"),
+        ({"search": {"delimiters": "### Step"}}, "delimiters"),
+    ],
+)
+def test_run_rejects_config_values_of_the_wrong_json_type(tmp_path, capsys, change, field):
+    config_path = _setup_project(tmp_path, extra=change)
+    code = main(["run", "--config", str(config_path),
+                 "--results-dir", str(tmp_path / "results")])
+    assert code == 2
+    assert f"error: {field}: must be" in capsys.readouterr().err
+
+
+def test_run_rejects_an_override_of_the_wrong_json_type(tmp_path, capsys):
+    config_path = _setup_project(tmp_path)
+    code = main(["run", "--config", str(config_path),
+                 "--results-dir", str(tmp_path / "results"),
+                 "--override", "temperature=hot"])
+    assert code == 2
+    assert "error: temperature: must be" in capsys.readouterr().err
+
+
 def test_sweep_crosses_axis_values(tmp_path, capsys):
     config_path = _setup_project(tmp_path, methods=["srca"])
     results = tmp_path / "results"

@@ -354,6 +354,28 @@ def test_config_json_round_trip_and_unknown_key():
         SearchConfig.from_json_dict({"n": 4, "beam_width": 2})
 
 
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"temperature": "hot"}, "temperature"),
+        ({"top_p": "0.5"}, "top_p"),
+        ({"tau": True}, "tau"),
+        ({"n": True, "m": 1}, "n"),
+        ({"max_steps": 8.0}, "max_steps"),
+        ({"seed": "1"}, "seed"),
+        ({"cca_enabled": "false"}, "cca_enabled"),
+        ({"cca_enabled": 0}, "cca_enabled"),
+        ({"delimiters": "### Step"}, "delimiters"),
+        ({"delimiters": ["### Step", 1]}, "delimiters"),
+        ({"injection_template": 5}, "injection_template"),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_json_type(kwargs, field):
+    with pytest.raises(ConfigError) as err:
+        SearchConfig.from_json_dict(kwargs)
+    assert err.value.field == field
+
+
 # ---------------------------------------------------------------------------
 # RunResult
 # ---------------------------------------------------------------------------

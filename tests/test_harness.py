@@ -95,6 +95,13 @@ def test_load_dataset_rejects_empty_file(tmp_path):
         load_dataset(str(path))
 
 
+@pytest.mark.parametrize("line", ["5", "null", '"id question answer"', '["id", "question", "answer"]'])
+def test_load_dataset_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    path = _write_lines(tmp_path, ['{"id": "a", "question": "Q", "answer": "1"}', line])
+    with pytest.raises(ValueError, match=":2: not a JSON object"):
+        load_dataset(path)
+
+
 # ---------------------------------------------------------------------------
 # Method labels and grid cells
 # ---------------------------------------------------------------------------
@@ -143,6 +150,13 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 12
     int(config_hash(a), 16)  # hex digest prefix
+
+
+def test_config_keeps_an_int_given_for_a_float_field():
+    cfg = SearchConfig(temperature=1, top_p=1, tau=1)
+    assert type(cfg.temperature) is int and type(cfg.tau) is int
+    # Recorded before field types were checked.
+    assert config_hash(cfg) == "9dd3dfdea2cd"
 
 
 # ---------------------------------------------------------------------------
