@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .core import SearchConfig
+from .core import SearchConfig, write_json_atomic
 
 log = logging.getLogger(__name__)
 
@@ -423,10 +423,7 @@ class RequestCache:
 
     def save(self) -> None:
         with self._lock:
-            tmp = self.path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self._entries, fh, sort_keys=True, indent=1)
-            os.replace(tmp, self.path)
+            write_json_atomic(self.path, self._entries)
 
     def __len__(self) -> int:
         with self._lock:

@@ -110,16 +110,42 @@ def _effective_search_config(config: dict, args) -> SearchConfig:
     return SearchConfig.from_json_dict(search)
 
 
+def _list_of(kind):
+    return lambda value: type(value) is list and all(type(v) is kind for v in value)
+
+
+def _optional(accepts):
+    return lambda value: value is None or accepts(value)
+
+
+# (key, accepts, description) of each top-level config key read besides the
+# backend's keys and the search config; a key left out takes its default.
+_TOP_LEVEL_TYPES = (
+    ("dataset_name", _optional(lambda v: type(v) is str), "a string"),
+    ("methods", _list_of(str), "a list of method labels"),
+    ("ks", _optional(_list_of(int)), "a list of integers"),
+    ("workers", lambda v: type(v) is int, "an integer"),
+    ("flops", _optional(lambda v: type(v) is dict
+                        and all(type(x) in (int, float) for x in v.values())),
+     "an object of numbers"),
+)
+
+
+def _check_top_level_types(config: dict) -> None:
+    for key, accepts, kind in _TOP_LEVEL_TYPES:
+        if key in config and not accepts(config[key]):
+            raise ConfigError(key, f"must be {kind}, got {config[key]!r}")
+
+
 def _run_cells(args, axis: str | None = None, values: list | None = None) -> int:
     config = _load_json_object(args.config, "config")
+    _check_top_level_types(config)
     dataset_path = config.get("dataset")
     if not dataset_path:
         raise ConfigError("dataset", "config must name a dataset JSONL file")
     dataset = load_dataset(dataset_path, name=config.get("dataset_name"))
     base = _effective_search_config(config, args)
     methods = config.get("methods", ["srca"])
-    if not isinstance(methods, list) or any(type(m) is not str for m in methods):
-        raise ConfigError("methods", "must be a list of method labels")
     n_values = values if axis == "n" else None
     tau_values = values if axis == "tau" else None
     cells = build_cells(base, methods, n_values=n_values, tau_values=tau_values)

@@ -1,15 +1,19 @@
 """Domain types and pure text/score operations for checkpoint-guided search.
 
 Everything in this module is backend-free and deterministic: answer
-normalization, score reduction, lossless step splitting, and construction of
-checkpoint-completed candidates.
+normalization, score reduction, lossless step splitting, construction of
+checkpoint-completed candidates, and the JSON form of the records a search
+writes.
 """
 from __future__ import annotations
 
+import json
 import math
+import os
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 # Canonical form of an answer that is empty after normalization.  Empty
@@ -128,6 +132,7 @@ def _format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+@lru_cache(maxsize=1024)
 def normalize_answer(raw: str) -> str:
     """Collapse an answer string to a canonical comparable form.
 
@@ -142,7 +147,8 @@ def normalize_answer(raw: str) -> str:
     or denominator would have more than 600 digits, also stays text.
     Non-numeric answers are lowercased with whitespace collapsed.  The
     result does not depend on the interpreter version or on
-    sys.get_int_max_str_digits(), and the function is idempotent.
+    sys.get_int_max_str_digits(), and the function is idempotent.  Results
+    are cached per distinct string: a search meets few distinct answers.
     """
     text = raw.strip()
     boxed = _unwrap_boxed(text)
@@ -359,6 +365,38 @@ def _json_list(items) -> list:
 
 # The JSON form of a value by its exact type; any other value is its own.
 _JSON_ENCODERS = {list: _json_list, tuple: _json_list}
+
+# Compact, sorted JSON text of one value.  Without indent, encode runs in
+# CPython's C encoder; json.dump never does.
+_encode_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _compact_chunks(data: dict):
+    """The text of json.dumps(data, sort_keys=True, separators=(",", ":")) in
+    pieces: one per top-level value, or per element of a top-level list."""
+    yield "{"
+    for i, key in enumerate(sorted(data)):
+        yield ("," if i else "") + _encode_compact(key) + ":"
+        value = data[key]
+        if type(value) is list:
+            yield "["
+            for j, item in enumerate(value):
+                yield ("," if j else "") + _encode_compact(item)
+            yield "]"
+        else:
+            yield _encode_compact(value)
+    yield "}"
+
+
+def write_json_atomic(path: str, data: dict) -> None:
+    """Write data, a dict with string keys, to path as compact JSON with
+    sorted keys, never holding more than one top-level value or list element
+    as text.  The file is written beside path and renamed over it, so a
+    reader sees the old file or the whole new one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(_compact_chunks(data))
+    os.replace(tmp, path)
 
 
 @_record

@@ -1,7 +1,8 @@
 """Benchmark harness: datasets, persisted runs, metrics, and reports.
 
 Runs are persisted one JSON file per (dataset, method, config-hash, question)
-so an interrupted benchmark resumes by skipping completed questions.  Reports
+so an interrupted benchmark resumes by skipping completed questions; a run
+file that does not read back is searched again and rewritten.  Reports
 are pure aggregations of those files and contain no timestamps, making
 repeated runs byte-identical.
 """
@@ -25,6 +26,7 @@ from .core import (
     SearchConfig,
     TokenStats,
     normalize_answer,
+    write_json_atomic,
 )
 from .strategies import run_search
 
@@ -129,13 +131,6 @@ def config_hash(cfg: SearchConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _atomic_write_json(path: str, data: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-    os.replace(tmp, path)
-
-
 def _first_hit(hits: list[bool]) -> int | None:
     """Index of the first True in hits, or None."""
     return next((i for i, hit in enumerate(hits) if hit), None)
@@ -233,10 +228,14 @@ def run_benchmark(
         def run_one(question: Question) -> RunResult:
             out_path = os.path.join(cell_dir, f"{question.id}.json")
             if os.path.exists(out_path):
-                with open(out_path, encoding="utf-8") as fh:
-                    return RunResult.from_json_dict(json.load(fh))
+                try:
+                    with open(out_path, encoding="utf-8") as fh:
+                        return RunResult.from_json_dict(json.load(fh))
+                except ValueError as exc:
+                    log.warning("re-running the search of unreadable run file %s: %s",
+                                out_path, exc)
             result = run_search(question, cfg, generator, reward)
-            _atomic_write_json(out_path, result.to_json_dict())
+            write_json_atomic(out_path, result.to_json_dict())
             return result
 
         results: list[RunResult] = []

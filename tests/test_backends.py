@@ -395,6 +395,19 @@ def test_request_cache_round_trip(tmp_path):
     assert RequestCache.key("score", {"prompt": "p"}) != key
 
 
+
+def test_request_cache_reads_indented_files_and_saves_compact_json(tmp_path):
+    path = tmp_path / "cache.json"
+    key = RequestCache.key("score", {"question": "q", "steps": ["s"]})
+    entries = {key: {"scores": [0.5]}}
+    path.write_text(json.dumps(entries, sort_keys=True, indent=1), encoding="utf-8")
+    cache = RequestCache(str(path))
+    assert cache.get(key) == {"scores": [0.5]}
+    cache.save()
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        entries, sort_keys=True, separators=(",", ":")
+    )
+
 # ---------------------------------------------------------------------------
 # HTTP clients against the threaded stub server (conftest.stub_server)
 # ---------------------------------------------------------------------------

@@ -148,6 +148,27 @@ def test_run_rejects_config_values_of_the_wrong_json_type(tmp_path, capsys, chan
     assert f"error: {field}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"workers": "2"}, "workers"),
+        ({"workers": True}, "workers"),
+        ({"ks": "1"}, "ks"),
+        ({"ks": [1, "4"]}, "ks"),
+        ({"flops": 5}, "flops"),
+        ({"flops": {"generator_params": "7e9"}}, "flops"),
+        ({"dataset_name": 5}, "dataset_name"),
+    ],
+)
+def test_run_rejects_top_level_values_of_the_wrong_json_type(tmp_path, capsys, change, field):
+    config_path = _setup_project(tmp_path, extra=change)
+    code = main(["run", "--config", str(config_path),
+                 "--results-dir", str(tmp_path / "results")])
+    assert code == 2
+    assert f"error: {field}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_run_rejects_an_override_of_the_wrong_json_type(tmp_path, capsys):
     config_path = _setup_project(tmp_path)
     code = main(["run", "--config", str(config_path),

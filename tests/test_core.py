@@ -1,9 +1,12 @@
 """Unit tests for domain types and pure text/score operations."""
 from __future__ import annotations
 
+import json
 import math
+import os
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -28,6 +31,7 @@ from stepsearch.core import (
     normalize_answer,
     reduce_scores,
     split_into_steps,
+    write_json_atomic,
 )
 
 # ---------------------------------------------------------------------------
@@ -111,6 +115,12 @@ def test_equivalent_rationals_collapse(num, den):
         assert canonical == str(num // g if num >= 0 else -((-num) // g))
     else:
         assert "/" in canonical
+
+
+@given(st.lists(st.text(max_size=12), max_size=40))
+def test_normalize_cache_matches_the_uncached_function(raws):
+    for raw in raws:
+        assert normalize_answer(raw) == normalize_answer.__wrapped__(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +452,61 @@ def test_question_and_step_are_frozen():
         Question("a", "b", "c").id = "x"
     with pytest.raises(AttributeError):
         Step(0, "t").text = "u"
+
+
+# ---------------------------------------------------------------------------
+# write_json_atomic
+# ---------------------------------------------------------------------------
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False)
+    | st.text()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(), _json_values, max_size=6))
+def test_write_json_atomic_writes_compact_sorted_json(tmp_path_factory, obj):
+    path = str(tmp_path_factory.mktemp("json") / "out.json")
+    write_json_atomic(path, obj)
+    with open(path, "rb") as fh:
+        written = fh.read()
+    expected = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert written == expected.encode("utf-8")
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == obj
+    assert not os.path.exists(path + ".tmp")
+
+
+def test_write_json_atomic_covers_edge_values(tmp_path):
+    obj = {"é": ["ünï", [], {}], "": {}, "big": -(10**30), "f": [0.1, -0.0, 1e300]}
+    path = str(tmp_path / "out.json")
+    for data in (obj, {}):
+        write_json_atomic(path, data)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def test_write_json_atomic_holds_one_record_at_a_time(tmp_path):
+    data = _result().to_json_dict()
+    candidate = data["pool"][0]
+    data["pool"] = [dict(candidate, full_text=f"{i:06d}" + "x" * 10_000) for i in range(500)]
+    text_size = sum(len(c["full_text"]) for c in data["pool"])
+    assert text_size > 5_000_000
+    path = str(tmp_path / "run.json")
+    tracemalloc.start()
+    try:
+        write_json_atomic(path, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < text_size / 50
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == data

@@ -5,7 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -369,6 +372,83 @@ def test_run_benchmark_parallel_matches_serial(tmp_path, smoke_suite):
     )
 
 
+class _CountingBackend:
+    """Passes every call to backend and counts the calls per question text."""
+
+    def __init__(self, backend, questions):
+        self.backend = backend
+        self.texts = sorted((q.text for q in questions), key=len, reverse=True)
+        self.calls: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def _count(self, prompt):
+        text = next(t for t in self.texts if prompt.startswith(t))
+        with self._lock:
+            self.calls[text] += 1
+
+    def sample_continuations(self, prefix, n, cfg):
+        self._count(prefix)
+        return self.backend.sample_continuations(prefix, n, cfg)
+
+    def force_checkpoint_answer(self, prefix, cfg):
+        self._count(prefix)
+        return self.backend.force_checkpoint_answer(prefix, cfg)
+
+    def score_steps(self, question, steps):
+        self._count(question)
+        return self.backend.score_steps(question, steps)
+
+
+class _NoBackend:
+    def __getattr__(self, name):
+        raise AssertionError(f"resume called the backend ({name})")
+
+
+def _finished_dir(smoke_suite, root, backend=None):
+    """(dataset, cells, report bytes) of a finished four-question srca run
+    under root."""
+    dataset, scripted = smoke_suite
+    small = Dataset(dataset.name, dataset.questions[:4])
+    cells = build_cells(SearchConfig(n=4, m=2, max_steps=8, seed=0), ["srca"])
+    backend = backend or scripted
+    write_report(run_benchmark(cells, small, backend, backend, str(root)), str(root))
+    reports = {name: (root / name).read_bytes() for name in ("report.csv", "report.md")}
+    return small, cells, reports
+
+
+def test_resume_reruns_just_the_search_of_a_truncated_run_file(smoke_suite, tmp_path, caplog):
+    clean = _CountingBackend(smoke_suite[1], smoke_suite[0].questions)
+    dataset, cells, reports = _finished_dir(smoke_suite, tmp_path, clean)
+    target = dataset.questions[1]
+    path = tmp_path / dataset.name / "srca" / config_hash(cells[0].config) / f"{target.id}.json"
+    written = path.read_bytes()
+    path.write_bytes(written[: len(written) // 2])
+
+    resumed = _CountingBackend(smoke_suite[1], dataset.questions)
+    with caplog.at_level(logging.WARNING, logger="stepsearch.harness"):
+        report = run_benchmark(cells, dataset, resumed, resumed, str(tmp_path))
+    write_report(report, str(tmp_path))
+    assert str(path) in caplog.text
+    assert dict(resumed.calls) == {target.text: clean.calls[target.text]}
+    assert path.read_bytes() == written
+    for name, data in reports.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
+def test_resume_reads_indented_run_files_without_searching(smoke_suite, tmp_path):
+    dataset, cells, reports = _finished_dir(smoke_suite, tmp_path)
+    run_files = sorted((tmp_path / dataset.name).rglob("*.json"))
+    assert len(run_files) == len(dataset.questions)
+    for path in run_files:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(data, sort_keys=True, indent=1), encoding="utf-8")
+
+    report = run_benchmark(cells, dataset, _NoBackend(), _NoBackend(), str(tmp_path))
+    write_report(report, str(tmp_path))
+    for name, data in reports.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
@@ -437,14 +517,24 @@ def test_flops_estimates_scale_with_tokens(tmp_path):
 # SHA-256 of the files run_benchmark and write_report write for the six demo
 # methods on the smoke suite (scripts/run_scripted_demo.py's defaults): each
 # report, and the run files as one digest over "<path> <sha256>" lines in
-# path order.  The golden digests in test_strategies.py hash to_json_dict();
-# these pin the bytes written.
+# path order.  "run files" hashes each run file re-encoded with indent=1, the
+# form run files were written in before they were compact; "run files as
+# written" hashes the bytes on disk.  The golden digests in
+# test_strategies.py hash to_json_dict(); these pin the bytes written.
 _DEMO_METHODS = ["greedy", "independent", "beam", "beam+cca", "dvts", "srca"]
 _DEMO_DIGESTS = {
     "report.csv": "a839ba75d2e9b858e538155bda6d30b83264c0443495c9832ad7849aa13195e2",
     "report.md": "a4019d3f139ec782e8cc5c4be5aba37321027abe00d9bcb2edc2d652b03585a7",
     "run files": "063d2abc509b9ae4bac50be7b47ed80683e282abde90dd55cb112e5bf42bc839",
+    "run files as written": "6b9316b1ad74a1b0c644f794fbcffaf2eac13b991b8c11673c27fb582e367d77",
 }
+
+
+def _listing_digest(named: dict[str, bytes]) -> str:
+    listing = "".join(
+        f"{name} {hashlib.sha256(data).hexdigest()}\n" for name, data in sorted(named.items())
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
 
 
 def test_demo_files_match_pinned_digests(smoke_suite, tmp_path):
@@ -452,15 +542,19 @@ def test_demo_files_match_pinned_digests(smoke_suite, tmp_path):
     cells = build_cells(SearchConfig(n=4, m=2, max_steps=8, seed=0), _DEMO_METHODS)
     write_report(run_benchmark(cells, dataset, backend, backend, str(tmp_path)), str(tmp_path))
     files = {
-        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        path.relative_to(tmp_path).as_posix(): path.read_bytes()
         for path in tmp_path.rglob("*") if path.is_file()
     }
-    run_files = sorted(name for name in files if name.endswith(".json"))
+    run_files = {name: data for name, data in files.items() if name.endswith(".json")}
     assert len(run_files) == len(_DEMO_METHODS) * len(dataset.questions)
-    listing = "".join(f"{name} {files[name]}\n" for name in run_files)
+    indented = {
+        name: json.dumps(json.loads(data), sort_keys=True, indent=1).encode()
+        for name, data in run_files.items()
+    }
     digests = {
-        "report.csv": files["report.csv"],
-        "report.md": files["report.md"],
-        "run files": hashlib.sha256(listing.encode()).hexdigest(),
+        "report.csv": hashlib.sha256(files["report.csv"]).hexdigest(),
+        "report.md": hashlib.sha256(files["report.md"]).hexdigest(),
+        "run files": _listing_digest(indented),
+        "run files as written": _listing_digest(run_files),
     }
     assert digests == _DEMO_DIGESTS
