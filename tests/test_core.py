@@ -123,6 +123,20 @@ def test_normalize_cache_matches_the_uncached_function(raws):
         assert normalize_answer(raw) == normalize_answer.__wrapped__(raw)
 
 
+def test_uncached_normalize_ignores_int_str_digit_limit():
+    # The cache would answer the second setting from the first.
+    raws = ["1e599", "1e-599", "9" * 600, "1e600", "0." + "0" * 700 + "5"]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        strict = [normalize_answer.__wrapped__(raw) for raw in raws]
+        sys.set_int_max_str_digits(0)
+        unlimited = [normalize_answer.__wrapped__(raw) for raw in raws]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert strict == unlimited == [normalize_answer(raw) for raw in raws]
+
+
 # ---------------------------------------------------------------------------
 # extract_final_answer
 # ---------------------------------------------------------------------------

@@ -373,11 +373,12 @@ def test_run_benchmark_parallel_matches_serial(tmp_path, smoke_suite):
 
 
 class _CountingBackend:
-    """Passes every call to backend and counts the calls per question text."""
+    """Passes every call to the smoke suite's backend and counts the calls
+    per question text."""
 
-    def __init__(self, backend, questions):
-        self.backend = backend
-        self.texts = sorted((q.text for q in questions), key=len, reverse=True)
+    def __init__(self, smoke_suite):
+        dataset, self.backend = smoke_suite
+        self.texts = sorted((q.text for q in dataset.questions), key=len, reverse=True)
         self.calls: Counter = Counter()
         self._lock = threading.Lock()
 
@@ -417,14 +418,14 @@ def _finished_dir(smoke_suite, root, backend=None):
 
 
 def test_resume_reruns_just_the_search_of_a_truncated_run_file(smoke_suite, tmp_path, caplog):
-    clean = _CountingBackend(smoke_suite[1], smoke_suite[0].questions)
+    clean = _CountingBackend(smoke_suite)
     dataset, cells, reports = _finished_dir(smoke_suite, tmp_path, clean)
     target = dataset.questions[1]
     path = tmp_path / dataset.name / "srca" / config_hash(cells[0].config) / f"{target.id}.json"
     written = path.read_bytes()
     path.write_bytes(written[: len(written) // 2])
 
-    resumed = _CountingBackend(smoke_suite[1], dataset.questions)
+    resumed = _CountingBackend(smoke_suite)
     with caplog.at_level(logging.WARNING, logger="stepsearch.harness"):
         report = run_benchmark(cells, dataset, resumed, resumed, str(tmp_path))
     write_report(report, str(tmp_path))
