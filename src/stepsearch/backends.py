@@ -20,10 +20,12 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-
-import requests
+from typing import TYPE_CHECKING
 
 from .core import SearchConfig, write_json_atomic
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -442,7 +444,9 @@ HTTP_ATTEMPTS = 3
 class _HttpClient:
     """Posts JSON requests through one requests.Session, the caller's when
     given.  A search that overlaps its calls posts from several threads
-    through that same session, whose connection pool is thread-safe."""
+    through that same session, whose connection pool is thread-safe.
+    requests is imported when the first client is built, so runs over
+    in-process backends never load the HTTP stack."""
 
     def __init__(
         self,
@@ -458,7 +462,10 @@ class _HttpClient:
         self.backoff_s = backoff_s
         self.cache = cache
         self.offline = offline
+        import requests
+
         self._session = session or requests.Session()
+        self._transport_errors = requests.RequestException
 
     @classmethod
     def from_env(cls, **kwargs):
@@ -486,7 +493,7 @@ class _HttpClient:
         for attempt in range(1, HTTP_ATTEMPTS + 1):
             try:
                 resp = self._session.post(url, json=payload, timeout=self.timeout_s)
-            except requests.RequestException as exc:
+            except self._transport_errors as exc:
                 if attempt == HTTP_ATTEMPTS:
                     raise TransportError(f"cannot reach {url}: {exc}", attempts=attempt) from exc
                 time.sleep(self.backoff_s * 2 ** (attempt - 1))

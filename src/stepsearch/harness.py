@@ -2,7 +2,9 @@
 
 Runs are persisted one JSON file per (dataset, method, config-hash, question)
 so an interrupted benchmark resumes by skipping completed questions; a run
-file that does not read back is searched again and rewritten.  Reports
+file that does not read back, or that belongs to another question or config,
+is searched again and rewritten.  Each cell's metrics fold its results as
+they finish, so a run holds about one finished search per worker.  Reports
 are pure aggregations of those files and contain no timestamps, making
 repeated runs byte-identical.
 """
@@ -14,8 +16,10 @@ import io
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .backends import ProtocolError, TransportError, WorldError
 from .core import (
@@ -137,21 +141,21 @@ def _first_hit(hits: list[bool]) -> int | None:
 
 
 def compute_metrics(
-    results: list[RunResult], gold: dict[str, str], ks: list[int]
+    results: Iterable[RunResult], gold: dict[str, str], ks: list[int]
 ) -> dict:
     """Aggregate one cell's completed runs into metric values.
 
-    pass@k clamps k to the pool size; the natural-only variant considers only
-    naturally finished candidates and counts an empty natural pool as a miss.
-    Each distinct answer string is normalized once per call and each gold
-    answer once per result; pass@k for every k reads one list of hits per
-    pool, as oracle.pass_at_k over the first k candidates would.
+    results may be any iterable; it is folded one result at a time into
+    integer counts, so the row does not depend on the order of the results
+    and no result is kept once folded.  pass@k clamps k to the pool size;
+    the natural-only variant considers only naturally finished candidates
+    and counts an empty natural pool as a miss.  Each distinct answer string
+    is normalized once per call and each gold answer once per result; pass@k
+    for every k reads one list of hits per pool, as oracle.pass_at_k over the
+    first k candidates would.
     """
-    if not results:
-        return {"questions": 0}
-    if min(ks, default=1) < 1:
-        raise ValueError(f"every k must be >= 1, got {sorted(ks)}")
     canonical: dict[str, str] = {}
+    n = 0
     correct = 0
     car_hits = 0
     depth_total = 0
@@ -159,6 +163,9 @@ def compute_metrics(
     pass_full = {k: 0 for k in ks}
     pass_natural = {k: 0 for k in ks}
     for result in results:
+        if not n and min(ks, default=1) < 1:
+            raise ValueError(f"every k must be >= 1, got {sorted(ks)}")
+        n += 1
         try:
             answer = gold[result.question_id]
         except KeyError:
@@ -186,7 +193,11 @@ def compute_metrics(
                 pass_full[k] += 1
             if first_natural is not None and first_natural < k:
                 pass_natural[k] += 1
-    n = len(results)
+        # Asking results for the next one may run its search: hold no result
+        # meanwhile.
+        del result
+    if not n:
+        return {"questions": 0}
     row = {
         "questions": n,
         "accuracy": correct / n,
@@ -206,6 +217,19 @@ class Report:
     rows: list[dict]
 
 
+class _InlineExecutor(Executor):
+    """Runs each submitted call at once on the calling thread: with one
+    worker, a pool would only add a thread hand-off per question."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def run_benchmark(
     cells: list[BenchmarkCell],
     dataset: Dataset,
@@ -221,6 +245,7 @@ def run_benchmark(
     for cell in cells:
         cfg = cell.config
         cell_ks = sorted(set(ks) | {cfg.n}) if ks else sorted(set(DEFAULT_KS) | {cfg.n})
+        config = cfg.to_json_dict()
         digest = config_hash(cfg)
         cell_dir = os.path.join(results_dir, dataset.name, cell.method, digest)
         os.makedirs(cell_dir, exist_ok=True)
@@ -230,24 +255,58 @@ def run_benchmark(
             if os.path.exists(out_path):
                 try:
                     with open(out_path, encoding="utf-8") as fh:
-                        return RunResult.from_json_dict(json.load(fh))
+                        result = RunResult.from_json_dict(json.load(fh))
                 except ValueError as exc:
                     log.warning("re-running the search of unreadable run file %s: %s",
                                 out_path, exc)
+                else:
+                    if result.question_id != question.id:
+                        log.warning("re-running the search of run file %s, which holds "
+                                    "question %r", out_path, result.question_id)
+                    elif result.config != config:
+                        log.warning("re-running the search of run file %s, which holds "
+                                    "another config", out_path)
+                    else:
+                        return result
             result = run_search(question, cfg, generator, reward)
             write_json_atomic(out_path, result.to_json_dict())
             return result
 
-        results: list[RunResult] = []
         failures: list[str] = []
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            futures = [(q, pool.submit(run_one, q)) for q in dataset.questions]
-            for question, future in futures:
+        width = max(1, workers)
+        pool = ThreadPoolExecutor(max_workers=width) if width > 1 else _InlineExecutor()
+
+        def finished():
+            """Each question's result as its search finishes; a failed search
+            is logged and recorded instead.  The next question is submitted
+            only once a result has been folded and dropped, so at most width
+            searches are under way or finished and not yet folded: a pool
+            that ran ahead of the fold would keep every result it finished
+            early."""
+            questions = iter(dataset.questions)
+            running: dict[Future, Question] = {}
+            while True:
+                for question in islice(questions, width - len(running)):
+                    running[pool.submit(run_one, question)] = question
+                if not running:
+                    return
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                future = done.pop()
+                question = running.pop(future)
                 try:
-                    results.append(future.result())
+                    result = future.result()
                 except (TransportError, ProtocolError, WorldError) as exc:
                     log.error("cell %s question %s failed: %s", cell.method, question.id, exc)
                     failures.append(question.id)
+                    continue
+                # Hold the result only while it is folded: the next submission
+                # runs a search, on this thread when width is 1.
+                del future
+                yield result
+                del result
+
+        with pool:
+            metrics = compute_metrics(finished(), dataset.gold_map(), cell_ks)
         row = {
             "dataset": dataset.name,
             "method": cell.method,
@@ -261,8 +320,8 @@ def run_benchmark(
             "seed": cfg.seed,
             "config_hash": digest,
             "failed": len(failures),
+            **metrics,
         }
-        row.update(compute_metrics(results, dataset.gold_map(), cell_ks))
         if not cfg.cca_enabled:
             row["car"] = None
         if flops_params:

@@ -559,3 +559,44 @@ def test_demo_files_match_pinned_digests(smoke_suite, tmp_path):
         "run files as written": _listing_digest(run_files),
     }
     assert digests == _DEMO_DIGESTS
+
+
+def test_resume_reruns_a_run_file_filed_under_another_question(smoke_suite, tmp_path, caplog):
+    clean = _CountingBackend(smoke_suite)
+    dataset, cells, reports = _finished_dir(smoke_suite, tmp_path, clean)
+    source, target = dataset.questions[1], dataset.questions[2]
+    cell_dir = tmp_path / dataset.name / "srca" / config_hash(cells[0].config)
+    path = cell_dir / f"{target.id}.json"
+    written = path.read_bytes()
+    path.write_bytes((cell_dir / f"{source.id}.json").read_bytes())
+
+    resumed = _CountingBackend(smoke_suite)
+    with caplog.at_level(logging.WARNING, logger="stepsearch.harness"):
+        report = run_benchmark(cells, dataset, resumed, resumed, str(tmp_path))
+    write_report(report, str(tmp_path))
+    assert str(path) in caplog.text and repr(source.id) in caplog.text
+    assert dict(resumed.calls) == {target.text: clean.calls[target.text]}
+    assert path.read_bytes() == written
+    for name, data in reports.items():
+        assert (tmp_path / name).read_bytes() == data
+
+
+def test_resume_reruns_a_run_file_of_another_config(smoke_suite, tmp_path, caplog):
+    clean = _CountingBackend(smoke_suite)
+    dataset, cells, reports = _finished_dir(smoke_suite, tmp_path, clean)
+    target = dataset.questions[0]
+    path = tmp_path / dataset.name / "srca" / config_hash(cells[0].config) / f"{target.id}.json"
+    written = path.read_bytes()
+    data = json.loads(written)
+    data["config"]["seed"] += 1
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+    resumed = _CountingBackend(smoke_suite)
+    with caplog.at_level(logging.WARNING, logger="stepsearch.harness"):
+        report = run_benchmark(cells, dataset, resumed, resumed, str(tmp_path))
+    write_report(report, str(tmp_path))
+    assert str(path) in caplog.text and "another config" in caplog.text
+    assert dict(resumed.calls) == {target.text: clean.calls[target.text]}
+    assert path.read_bytes() == written
+    for name, data in reports.items():
+        assert (tmp_path / name).read_bytes() == data
