@@ -133,11 +133,14 @@ class ScriptedNode:
     final_answer: str | None = None
     checkpoint_reward: float | None = None
     children: list["ScriptedNode"] = field(default_factory=list)
-    # Children by step text, and children longest step first, built on first
-    # lookup.  They live on the node, so a node shared by several parents (a
-    # DAG world) builds them once.
+    # Children by step text, children longest step first, and whether no
+    # child's step is a prefix of a sibling's, built on first lookup.  They
+    # live on the node, so a node shared by several parents (a DAG world)
+    # builds them once.  _by_step is set last: once it is set, so are the
+    # others, whichever thread reads them.
     _by_step: dict | None = field(default=None, init=False, repr=False, compare=False)
     _longest_first: tuple = field(default=(), init=False, repr=False, compare=False)
+    _prefix_free: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def endpoint_reward(self) -> float:
@@ -162,6 +165,10 @@ class ScriptedNode:
         by_step: dict[str, ScriptedNode] = {}
         for child in self.children:
             by_step.setdefault(child.step, child)
+        # In sorted order a step that prefixes another (or equals it)
+        # prefixes the one right after it.
+        steps = sorted(child.step for child in self.children)
+        self._prefix_free = not any(b.startswith(a) for a, b in zip(steps, steps[1:]))
         self._longest_first = tuple(sorted(self.children, key=lambda c: -len(c.step)))
         self._by_step = by_step
 
@@ -270,6 +277,12 @@ def load_scripted_world(path: str) -> ScriptedWorld:
         raise WorldError(f"{path}: {exc}") from exc
 
 
+# Entries per generation of a ScriptedBackend's prefix cache, two of which
+# are kept: a couple of rounds of one search's requests.  Each entry keeps its
+# prefix or step list alive.
+PREFIX_CACHE_ENTRIES = 64
+
+
 class ScriptedBackend:
     """Deterministic generator plus reward model over scripted worlds.
 
@@ -280,9 +293,29 @@ class ScriptedBackend:
     first.  score_steps looks each step up in the node's step -> child dict.
     Both are built once per node on first use and kept on the node, so a
     world whose nodes are shared between parents (a DAG) builds them once
-    per shared node.  Nothing is cached per prefix, so memory stays at the
-    size of the worlds.  Resolution only sees prefixes the backend itself
+    per shared node.  Resolution only sees prefixes the backend itself
     produced earlier in the run.
+
+    A search's requests extend what it asked a round earlier by one step,
+    so the backend keeps what it resolved last: the node of each prefix and
+    the node and scores of each step list, in two generations of
+    PREFIX_CACHE_ENTRIES entries, the older dropped when the newer fills.
+    The bound is per backend, whatever questions and searches it serves.  A
+    prefix that is a cached one plus one child step (cut at its last primary
+    delimiter), or a step list that is a cached one plus one step, resolves
+    from that entry with one dict lookup; keys are compared whole.  Answers
+    equal the walk from the root.  A step list is looked up step by step,
+    so any cached head extends.  A prefix's walk takes the longest child
+    step that starts the rest of it, so a cached prefix is extended only
+    when no other question starts with its question and every node its
+    walk passes on the way has prefix-free children (no child's step a
+    prefix of a sibling's, equal twins included): only then must the walk
+    of the longer prefix pass through it.  Otherwise the prefix is walked.
+
+    The cache is read and written with plain dict operations, safe from
+    several threads at once (a server's handler threads, or a harness with
+    workers > 1); a generation can gain one entry per thread storing at the
+    moment it fills.  The constructor builds nothing.
     """
 
     def __init__(self, worlds: dict[str, ScriptedWorld]):
@@ -292,6 +325,10 @@ class ScriptedBackend:
         # Longest question text first so one question being a prefix of
         # another cannot shadow it.
         self._ordered_questions = sorted(self._worlds, key=len, reverse=True)
+        # The questions another question starts with, found on the first walk.
+        self._shadowed: set[str] | None = None
+        self._young: dict = {}
+        self._old: dict = {}
 
     @classmethod
     def for_question(cls, question_text: str, world: ScriptedWorld) -> "ScriptedBackend":
@@ -303,6 +340,15 @@ class ScriptedBackend:
         except KeyError:
             raise ProtocolError(f"no scripted world for question {question_text!r}")
 
+    def _remember(self, key, entry) -> None:
+        """Cache entry, a non-empty tuple, under key.  Readers look key up
+        in self._young, then in self._old."""
+        young = self._young
+        if len(young) >= PREFIX_CACHE_ENTRIES:
+            self._old = young
+            young = self._young = {}
+        young[key] = entry
+
     def _split_prefix(self, prefix: str) -> tuple[ScriptedWorld, int]:
         """(world, offset of the first step) for the question prefix starts with."""
         for question in self._ordered_questions:
@@ -310,14 +356,53 @@ class ScriptedBackend:
                 return self._worlds[question], len(question)
         raise ProtocolError("prefix does not start with any known question text")
 
-    def _resolve(self, prefix: str) -> tuple[ScriptedWorld, ScriptedNode]:
+    def _resolve(
+        self, prefix: str, delimiter: str | None = None
+    ) -> tuple[ScriptedWorld, ScriptedNode]:
+        """(world, node) that prefix ends at.  With delimiter, the primary
+        one, a prefix that extends a cached one by one step resolves from it."""
+        entry = self._young.get(prefix) or self._old.get(prefix)
+        if entry is None:
+            entry = (delimiter and self._extend(prefix, delimiter)) or self._walk(prefix)
+            self._remember(prefix, entry)
+        return entry[0], entry[1]
+
+    def _extend(self, prefix: str, delimiter: str):
+        """The cache entry of prefix built from that of prefix cut at its
+        last delimiter, or None where the walk from the root must decide."""
+        cut = prefix.rfind(delimiter)
+        if cut <= 0:
+            return None
+        head = prefix[:cut]
+        parent = self._young.get(head) or self._old.get(head)
+        if parent is None or not parent[2]:
+            return None
+        world, node, _ = parent
+        by_step = node._by_step if node._by_step is not None else node.children_by_step()
+        # Of the children whose step the rest of prefix starts with, the
+        # longest is the one whose step it is, or the first of equal twins,
+        # whatever node's other children.
+        child = by_step.get(prefix[cut:])
+        return None if child is None else (world, child, node._prefix_free)
+
+    def _walk(self, prefix: str):
+        """(world, node, whether the walk of every text that starts with
+        prefix passes through node) of prefix, walked from the root."""
         world, pos = self._split_prefix(prefix)
+        shadowed = self._shadowed
+        if shadowed is None:
+            # In sorted order a question that starts another starts the next.
+            ordered = sorted(self._worlds)
+            shadowed = {a for a, b in zip(ordered, ordered[1:]) if b.startswith(a)}
+            self._shadowed = shadowed
+        # A longer text can start with a longer question.
+        forced = prefix[:pos] not in shadowed
         node = world.root
         end = len(prefix)
         while pos < end:
             # The cached tuple is read directly: this loop runs once per step
-            # of every prefix, and a method call per level costs as much as
-            # the scan.
+            # of every prefix walked, and a method call per level costs as
+            # much as the scan.
             for child in node._longest_first or node.longest_first():
                 if prefix.startswith(child.step, pos):
                     break
@@ -325,9 +410,10 @@ class ScriptedBackend:
                 raise ProtocolError(
                     f"prefix does not align with the scripted world near {prefix[pos : pos + 40]!r}"
                 )
+            forced = forced and node._prefix_free
             node = child
             pos += len(child.step)
-        return world, node
+        return world, node, forced
 
     @staticmethod
     def _draw_child(node: ScriptedNode, cfg: SearchConfig, prefix: str, index: int) -> ScriptedNode:
@@ -346,7 +432,7 @@ class ScriptedBackend:
     def sample_continuations(self, prefix: str, n: int, cfg: SearchConfig) -> list[Continuation]:
         if n < 1:
             raise ValueError("n must be >= 1")
-        _, node = self._resolve(prefix)
+        _, node = self._resolve(prefix, cfg.delimiters[0])
         if node.terminal:
             raise ProtocolError("cannot sample continuations from a finished path")
         primary = cfg.delimiters[0]
@@ -364,34 +450,45 @@ class ScriptedBackend:
     def force_checkpoint_answer(self, prefix: str, cfg: SearchConfig) -> str:
         if not prefix:
             raise ValueError("prefix must be non-empty")
-        _, node = self._resolve(prefix)
+        _, node = self._resolve(prefix, cfg.delimiters[0])
         return node.checkpoint_answer
 
     def score_steps(self, question: str, steps: list[str]) -> list[float]:
         if not steps:
             raise ValueError("steps must be non-empty")
-        world = self.world_for(question)
-        node = world.root
-        scores: list[float] = []
-        for step_text in steps:
-            exact = (node._by_step or node.children_by_step()).get(step_text)
-            if exact is None:
-                break
-            scores.append(exact.reward)
-            node = exact
-        else:
-            return scores
-        i = len(scores)
-        if i == len(steps) - 1:
-            # A checkpoint-completed path ends with "<step><template><answer>";
-            # score it as that step's endpoint.
-            stub = next((c for c in node.longest_first() if steps[i].startswith(c.step)), None)
-            if stub is not None:
-                scores.append(stub.endpoint_reward)
-                return scores
-        raise ProtocolError(
-            f"step {i} does not align with the scripted world: {steps[i][:40]!r}"
-        )
+        steps = tuple(steps)
+        head = steps[:-1]
+        key = (question, head)
+        node, scores = self._young.get(key) or self._old.get(key) or self._score_head(question, head)
+        last = steps[-1]
+        exact = (node._by_step or node.children_by_step()).get(last)
+        if exact is not None:
+            scores += (exact.reward,)
+            self._remember((question, steps), (exact, scores))
+            return list(scores)
+        # A checkpoint-completed path ends with "<step><template><answer>";
+        # score it as that step's endpoint.
+        stub = next((c for c in node.longest_first() if last.startswith(c.step)), None)
+        if stub is None:
+            raise ProtocolError(
+                f"step {len(head)} does not align with the scripted world: {last[:40]!r}"
+            )
+        return [*scores, stub.endpoint_reward]
+
+    def _score_head(self, question: str, head: tuple[str, ...]):
+        """(node, scores) of a step list looked up step by step from the root."""
+        node = self.world_for(question).root
+        scores = []
+        for i, text in enumerate(head):
+            node = (node._by_step or node.children_by_step()).get(text)
+            if node is None:
+                raise ProtocolError(
+                    f"step {i} does not align with the scripted world: {text[:40]!r}"
+                )
+            scores.append(node.reward)
+        entry = node, tuple(scores)
+        self._remember((question, head), entry)
+        return entry
 
 
 # ---------------------------------------------------------------------------

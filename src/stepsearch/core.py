@@ -286,6 +286,12 @@ class ReasoningPath:
     # step_tokens() kept by the search engine as it builds the path from its
     # parent; None on a path built anywhere else.
     _step_tokens: int | None = field(default=None, init=False, repr=False, compare=False)
+    # Whether the delimiters match in text() exactly at the step offsets, for
+    # this path and for the parent it was built from; set by the search
+    # engine when it needs them, None until then.  Class attributes, not
+    # fields, so building a path does not pay for them.
+    _aligned = None
+    _parent_aligned = None
 
     def text(self) -> str:
         return "".join(map(step_text, self.steps))
@@ -364,7 +370,8 @@ def _json_list(items) -> list:
 
 
 # The JSON form of a value by its exact type; any other value is its own.
-_JSON_ENCODERS = {list: _json_list, tuple: _json_list}
+# No tuple field holds a record, so a tuple is copied as it is.
+_JSON_ENCODERS = {list: _json_list, tuple: list}
 
 # Compact, sorted JSON text of one value.  Without indent, encode runs in
 # CPython's C encoder; json.dump never does.

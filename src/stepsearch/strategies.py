@@ -153,8 +153,12 @@ class _Engine:
     No Python loop runs over a whole prefix per call: a child's
     reward-token count is its parent's plus the new step's, and a
     checkpoint candidate's step texts come from its path instead of a
-    re-split of its text.  The payloads sent and the counters kept are the
-    same as re-splitting and recounting the whole prefix would give.
+    re-split of its text, checked by scanning only its last step, the
+    template and the answer.  The payloads sent and the counters kept are
+    the same as re-splitting and recounting the whole prefix would give.
+    Across the boundary, ScriptedBackend resolves a request from the one a
+    step shorter, and core's records copy tuple fields without a loop, so
+    an in-process search costs the same per request at any depth.
     """
 
     def __init__(self, question: Question, cfg: SearchConfig, generator, reward):
@@ -172,6 +176,7 @@ class _Engine:
         # Whether a pooled natural or checkpoint candidate scores above tau.
         self.pool_over_tau = False
         self._delimiter_re = delimiter_pattern(cfg.delimiters)
+        self._longest_delimiter = max(map(len, cfg.delimiters))
         self._waves = _Waves()
 
     def __enter__(self) -> "_Engine":
@@ -213,6 +218,7 @@ class _Engine:
                     checkpoint_answers=dict(parent.checkpoint_answers) if parent else {},
                 )
                 child._step_tokens = parent_tokens + approx_token_count(step.text)
+                child._parent_aligned = parent._aligned if parent else True
                 if cont.finished:
                     child.finish()
                 children.append(child)
@@ -268,40 +274,75 @@ class _Engine:
                 return found, None, 0
             candidate = build_checkpoint_candidate(path, self.cfg.injection_template, found)
             candidate.round_index = round_index
-            texts, tokens = self._candidate_steps(candidate)
+            texts, tokens = self._candidate_steps(candidate, found.raw_text)
             seq = self.reward.score_steps(self.question.text, texts)
             candidate.final_score = reduce_scores(list(map(float, seq)), self.cfg.reduction)
             return found, candidate, tokens
 
         return call
 
-    def _candidate_steps(self, candidate: Candidate) -> tuple[list[str], int]:
-        """(step texts, their token count) of a checkpoint candidate, equal to
-        splitting its full text at the delimiters.
+    def _candidate_steps(self, candidate: Candidate, raw: str) -> tuple[list[str], int]:
+        """(step texts, their token count) of a checkpoint candidate whose
+        answer reads raw, equal to splitting its full text at the delimiters.
 
         The texts are its path's steps through the checkpoint step, the last
         one followed by the template and the answer.  That equals the split
-        when the delimiter matches in the full text start exactly at the
-        steps' offsets; a delimiter inside a step, the template or the answer
-        moves or adds a match, and the text is split instead.
+        when the delimiters match in the full text exactly at the steps'
+        offsets.  Where they do in the path's own text and its last step is
+        at least as long as the longest delimiter, every match before that
+        step stays, so only the last step, the template and the answer are
+        scanned; otherwise the whole text is.  A delimiter inside a step,
+        the template or the answer moves or adds a match, and the text is
+        split instead.
         """
         path, last = candidate.source, candidate.origin_step
         full = candidate.full_text
         if path is not None and last == len(path.steps) - 1:
-            texts = list(map(step_text, path.steps))
-            offsets = list(accumulate(map(len, texts[:-1]), initial=0))
-            starts = list(map(re.Match.start, self._delimiter_re.finditer(full)))
-            if starts == offsets:
-                tail = full[offsets[-1] :]
+            step = path.steps[-1].text
+            tail = step + self.cfg.injection_template + raw
+            if self._splits_at_steps(path) and len(step) >= self._longest_delimiter:
+                aligned = self._match_starts(tail) == [0]
+            else:
+                aligned = self._match_starts(full) == _offsets(path)
+            if aligned:
+                texts = list(map(step_text, path.steps[:-1]))
+                texts.append(tail)
                 tokens = (
-                    path.step_tokens()
-                    - approx_token_count(texts[-1])
-                    + approx_token_count(tail)
+                    path.step_tokens() - approx_token_count(step) + approx_token_count(tail)
                 )
-                texts[-1] = tail
                 return texts, tokens
         texts = [s.text for s in split_into_steps(full, self.cfg.delimiters)]
         return texts, sum(approx_token_count(t) for t in texts)
+
+    def _splits_at_steps(self, path: ReasoningPath) -> bool:
+        """Whether the delimiters match in path.text() exactly at its step
+        offsets, worked out once per path.
+
+        Matching at a position reads at most the longest delimiter's length
+        ahead, so when the step before the last is at least that long, the
+        matches through that step's start are the parent's.  The path then
+        splits at its steps when its parent does and its last two steps, on
+        their own, match exactly at their starts.  A path of one step, a
+        shorter step before the last, or a parent never worked out scans the
+        whole text.
+        """
+        if path._aligned is None:
+            steps = path.steps
+            if (
+                len(steps) > 1
+                and path._parent_aligned is not None
+                and len(steps[-2].text) >= self._longest_delimiter
+            ):
+                before = steps[-2].text
+                path._aligned = path._parent_aligned and (
+                    self._match_starts(before + steps[-1].text) == [0, len(before)]
+                )
+            else:
+                path._aligned = self._match_starts(path.text()) == _offsets(path)
+        return path._aligned
+
+    def _match_starts(self, text: str) -> list[int]:
+        return list(map(re.Match.start, self._delimiter_re.finditer(text)))
 
     # -- pooling -----------------------------------------------------------
 
@@ -353,6 +394,11 @@ class _Engine:
             stopped_early=self.stopped_early,
             selected_trace=_build_trace(selection.winner, pool),
         )
+
+
+def _offsets(path: ReasoningPath) -> list[int]:
+    """Where each step of path starts in its text."""
+    return list(accumulate(map(len, map(step_text, path.steps[:-1])), initial=0))
 
 
 def _build_trace(winner: Candidate, pool: list[Candidate]) -> list[dict]:

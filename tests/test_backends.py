@@ -1,13 +1,18 @@
 """Tests for scripted worlds, the HTTP clients, and record/replay."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import random
 import sys
 import threading
 from collections import Counter
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepsearch import (
     Question,
@@ -21,6 +26,7 @@ from stepsearch import (
 from stepsearch.backends import (
     ENV_GENERATOR_URL,
     ENV_REWARD_URL,
+    PREFIX_CACHE_ENTRIES,
     GeneratorRequest,
     HttpGenerator,
     HttpReward,
@@ -33,6 +39,7 @@ from stepsearch.backends import (
     load_scripted_world,
 )
 from stepsearch.core import DEFAULT_INJECTION_TEMPLATE
+from stepsearch.harness import parse_method_label
 
 from conftest import load_world_fixture, scripted_http_responder
 
@@ -374,6 +381,253 @@ def test_misaligned_prefix_raises_align_error():
             scripted.sample_continuations(prefix, 1, cfg)
     with pytest.raises(ProtocolError, match="align"):
         scripted.score_steps("Q\n", [parents[0].step, "### Step 2: nowhere.\n", "x"])
+
+
+# ---------------------------------------------------------------------------
+# ScriptedBackend's prefix cache
+# ---------------------------------------------------------------------------
+
+
+def _load(*parts: str):
+    """A module of this repository outside the package, loaded by path."""
+    path = os.path.join(os.path.dirname(__file__), "..", *parts)
+    spec = importlib.util.spec_from_file_location(os.path.splitext(parts[-1])[0], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_equivalence = _load("scripts", "check_equivalence.py")
+perfbench_worlds = _load("perfbench", "worlds.py")
+
+
+def _node(step, answer, reward, children=()):
+    return ScriptedNode(step=step, weight=1.0, reward=reward, checkpoint_answer=answer,
+                        terminal=not children, final_answer=None if children else answer,
+                        children=list(children))
+
+
+def _outcome(call):
+    """A call's reply, or the type and text of what it raised."""
+    try:
+        return call()
+    except (ProtocolError, WorldError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("root_first", [False, True])
+def test_a_cached_prefix_does_not_extend_past_a_longer_sibling(root_first):
+    """A2's step is A's followed by that of A's child B, so the walk from the
+    root takes A2 for A + B.  A memo of what sampling from A drew would
+    answer B's checkpoint.  Asking at the root first caches A's prefix as an
+    extension of the root's instead of a walk."""
+    b = _node("### Step 2: b", "B", 0.2)
+    a = _node("### Step 1: a", "A", 0.3, [b])
+    a2 = _node("### Step 1: a### Step 2: b", "A2", 0.9)
+    scripted = ScriptedBackend.for_question("Q\n", ScriptedWorld("A2", _node("", "", 1.0, [a, a2])))
+    cfg = SearchConfig()
+    if root_first:
+        scripted.sample_continuations("Q\n", 2, cfg)
+    [drawn] = scripted.sample_continuations("Q\n" + a.step, 1, cfg)
+    assert cfg.delimiters[0] + drawn.text == b.step
+    for _ in range(2):
+        assert scripted.force_checkpoint_answer("Q\n" + a.step + b.step, cfg) == "A2"
+        assert scripted._resolve("Q\n" + a.step + b.step, cfg.delimiters[0])[1] is a2
+    assert scripted.score_steps("Q\n", [a.step]) == [0.3]
+    assert scripted.score_steps("Q\n", [a.step, b.step]) == [0.3, 0.2]
+
+
+def test_equal_twins_resolve_to_the_first_from_a_cached_parent():
+    world, parents, leaves = _shared_world()
+    twin = _node(parents[0].step, "9", 0.99, [leaves[1]])
+    world.root.children.append(twin)
+    scripted = ScriptedBackend.for_question("Q\n", world)
+    cfg = SearchConfig()
+    for _ in range(2):  # cold, then from what the first pass cached
+        scripted.sample_continuations("Q\n", 4, cfg)
+        assert scripted.force_checkpoint_answer("Q\n" + twin.step, cfg) == "1"
+        prefix = "Q\n" + twin.step + leaves[0].step
+        assert scripted._resolve(prefix, cfg.delimiters[0])[1] is leaves[0]
+        assert scripted.score_steps("Q\n", [twin.step]) == [parents[0].reward]
+        assert scripted.score_steps("Q\n", [twin.step, leaves[0].step]) == [
+            parents[0].reward, leaves[0].reward,
+        ]
+
+
+def test_misaligned_requests_raise_the_same_error_once_their_ancestors_are_cached():
+    world, parents, leaves = _shared_world()
+    cfg = SearchConfig()
+    warm = ScriptedBackend.for_question("Q\n", world)
+    warm.sample_continuations("Q\n", 2, cfg)
+    for parent in parents:
+        warm.force_checkpoint_answer("Q\n" + parent.step, cfg)
+        for leaf in parent.children:
+            warm.force_checkpoint_answer("Q\n" + parent.step + leaf.step, cfg)
+            warm.score_steps("Q\n", [parent.step, leaf.step])
+    left, end_a = parents[0].step, leaves[0].step
+    prefixes = [
+        "Q\n### Step 1: lef",
+        "Q\n" + left + "### Step 2: nowhere.\n",
+        "Q\n" + left + end_a[:-2],
+        "Q\n" + left + end_a + "### Step 3: past the leaf.\n",
+    ]
+    step_lists = [
+        ["### Step 1: lef"],
+        [left, "### Step 2: nowhere.\n"],
+        [left, "### Step 2: nowhere.\n", "x"],
+        [left, end_a, "### Step 3: past the leaf.\n"],
+    ]
+    calls = [
+        call
+        for prefix in prefixes
+        for call in (partial(ScriptedBackend.force_checkpoint_answer, prefix=prefix, cfg=cfg),
+                     partial(ScriptedBackend.sample_continuations, prefix=prefix, n=1, cfg=cfg))
+    ]
+    calls += [partial(ScriptedBackend.score_steps, question="Q\n", steps=s) for s in step_lists]
+    for call in calls:
+        fresh = _outcome(lambda: call(ScriptedBackend.for_question("Q\n", world)))
+        assert fresh[0] is ProtocolError and "align" in fresh[1]
+        assert _outcome(lambda: call(warm)) == fresh
+
+
+def _tangled_worlds(seed: int) -> dict:
+    """Two tangled worlds, under questions one of which is the other
+    followed by a step of the other's world."""
+    return {
+        text: perfbench_worlds.to_scripted(spec, ScriptedNode, ScriptedWorld)
+        for text, spec in check_equivalence.tangled_questions(2, seed)
+    }
+
+
+def _random_walk(worlds: dict, question: str, rng: random.Random) -> tuple[str, list[str]]:
+    """(question, steps) of a random walk down question's world."""
+    node, steps = worlds[question].root, []
+    while node.children and len(steps) < 5:
+        node = rng.choice(node.children)
+        steps.append(node.step)
+    return question, steps
+
+
+def _random_request(walks: list, depths: list, rng: random.Random):
+    """A request over the next prefix of one of walks, as a search asks for
+    each prefix one step longer than the last; its last step is now and
+    then cut short, overrun, or completed through a checkpoint answer."""
+    i = rng.randrange(len(walks))
+    question, steps = walks[i]
+    kind = rng.choice(("sample", "checkpoint", "score"))
+    # Prefixes start at the question itself, which starts the other one.
+    steps = steps[: max(depths[i], kind == "score")]
+    depths[i] = (depths[i] + 1) % (len(walks[i][1]) + 1)
+    if steps and rng.random() < 0.15:
+        steps[-1] = steps[-1][: rng.randint(1, len(steps[-1]))]
+    if rng.random() < 0.1:
+        steps.append("### Step x")
+    cfg = SearchConfig(seed=rng.randint(0, 2))
+    if kind == "score":
+        if rng.random() < 0.3:
+            steps[-1] += cfg.injection_template + "a1"
+        return partial(ScriptedBackend.score_steps, question=question, steps=steps)
+    prefix = question + "".join(steps)
+    if kind == "sample":
+        return partial(ScriptedBackend.sample_continuations, prefix=prefix,
+                       n=rng.randint(1, 3), cfg=cfg)
+    return partial(ScriptedBackend.force_checkpoint_answer, prefix=prefix, cfg=cfg)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 10**6), stream=st.lists(st.integers(0, 2**32), min_size=1, max_size=80))
+def test_a_backend_that_served_a_stream_answers_as_a_fresh_one(seed, stream):
+    worlds = _tangled_worlds(seed)
+    rng = random.Random(seed)
+    questions = sorted(worlds)
+    walks = [_random_walk(worlds, q, rng) for q in questions + [rng.choice(questions)]]
+    depths = [0] * len(walks)
+    warm = ScriptedBackend(worlds)
+    for request_seed in stream:
+        call = _random_request(walks, depths, random.Random(request_seed))
+        assert _outcome(lambda: call(warm)) == _outcome(lambda: call(ScriptedBackend(worlds)))
+
+
+def _entries(scripted: ScriptedBackend) -> int:
+    return len(scripted._young) + len(scripted._old)
+
+
+def _deep_stream():
+    """(backend worlds, every request of srca and beam+cca searches over the
+    benchmark's depth-40 deep world, each with a fresh backend's reply)."""
+    records, specs = perfbench_worlds.make_deep(0)
+    record = records[0]
+    worlds = {record["question"]: perfbench_worlds.to_scripted(
+        specs[record["id"]], ScriptedNode, ScriptedWorld)}
+    question = Question(record["id"], record["question"], record["answer"])
+    requests = []
+
+    class Recording:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def sample_continuations(self, prefix, n, cfg):
+            requests.append(partial(ScriptedBackend.sample_continuations, prefix=prefix, n=n, cfg=cfg))
+            return self.inner.sample_continuations(prefix, n, cfg)
+
+        def force_checkpoint_answer(self, prefix, cfg):
+            requests.append(partial(ScriptedBackend.force_checkpoint_answer, prefix=prefix, cfg=cfg))
+            return self.inner.force_checkpoint_answer(prefix, cfg)
+
+        def score_steps(self, question, steps):
+            requests.append(partial(ScriptedBackend.score_steps, question=question, steps=list(steps)))
+            return self.inner.score_steps(question, steps)
+
+    spy = Recording(ScriptedBackend(worlds))
+    for label in ("srca", "beam+cca"):
+        cfg = parse_method_label(label, SearchConfig(n=8, m=2, max_steps=40, seed=0))
+        run_search(question, cfg, spy, spy)
+    return worlds, [(call, call(ScriptedBackend(worlds))) for call in requests]
+
+
+def test_the_cache_holds_at_most_two_generations():
+    worlds, stream = _deep_stream()
+    scripted = ScriptedBackend(worlds)
+    sizes = []
+    for call, _ in stream:
+        call(scripted)
+        sizes.append(_entries(scripted))
+    assert max(sizes) == 2 * PREFIX_CACHE_ENTRIES
+
+
+def test_threads_sharing_a_backend_get_a_fresh_backends_replies():
+    """Eight threads replay the deep stream through one backend, each from
+    another offset, switching threads as often as the interpreter allows."""
+    worlds, stream = _deep_stream()
+    scripted = ScriptedBackend(worlds)
+    threads_n = 8
+    wrong, sizes = [], []
+
+    def replay(offset: int) -> None:
+        for call, expected in stream[offset:] + stream[:offset]:
+            if call(scripted) != expected:
+                wrong.append(call)
+            sizes.append(_entries(scripted))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=replay, args=(i * len(stream) // threads_n,))
+            for i in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(sizes) == threads_n * len(stream)
+    assert wrong == []
+    # Each generation can gain one entry per thread storing at the moment
+    # it fills.
+    assert max(sizes) <= 2 * (PREFIX_CACHE_ENTRIES + threads_n)
 
 
 # ---------------------------------------------------------------------------

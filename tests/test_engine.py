@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import accumulate
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stepsearch import (
@@ -31,7 +33,7 @@ from stepsearch import (
     strategies,
 )
 from stepsearch.backends import ScriptedNode
-from stepsearch.core import build_checkpoint_candidate
+from stepsearch.core import build_checkpoint_candidate, delimiter_pattern
 from stepsearch.harness import parse_method_label
 
 METHODS = ("greedy", "independent", "beam", "beam+cca", "dvts", "srca")
@@ -211,3 +213,95 @@ def test_trace_joins_the_first_matching_checkpoint_candidate():
     assert [row["endpoint_score"] for row in trace] == [None, 0.9]
     trace = strategies._build_trace(natural, [second, natural, first])
     assert [row["endpoint_score"] for row in trace] == [None, 0.1]
+
+
+# Delimiter sets where one delimiter starts another, or is longer than most
+# steps; step texts, templates and answers built from delimiter pieces.
+_PIECES = ("### Step", "### St", "###", "#", "a", " ", "\n")
+_OVERLAPPING_DELIMITERS = st.sampled_from([
+    ("### Step",),
+    ("### Step", "###"),
+    ("### Step", "### St"),
+    ("###", "### Step"),
+    # A match of the second can start a step early and run across a
+    # one-character step.
+    ("#", "a a##"),
+    ("#", "a a# "),
+    ("a", " aa"),
+])
+_piece_texts = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join)
+
+
+def _splits_at_steps(path: ReasoningPath, delimiters) -> bool:
+    """The whole-text scan the engine's alignment flag stands for."""
+    starts = [m.start() for m in delimiter_pattern(delimiters).finditer(path.text())]
+    return starts == list(accumulate((len(s.text) for s in path.steps[:-1]), initial=0))
+
+
+@given(
+    delimiters=_OVERLAPPING_DELIMITERS,
+    template=_piece_texts.filter(bool),
+    texts=st.lists(_piece_texts, min_size=1, max_size=5),
+    answers=st.lists(_piece_texts, min_size=1, max_size=3),
+    method=st.sampled_from(["srca", "srca-cca", "beam", "beam+cca", "dvts", "dvts+cca",
+                            "independent"]),
+)
+def test_alignment_flags_and_checkpoint_payloads_equal_whole_text_scans(
+    delimiters, template, texts, answers, method
+):
+    """Every path the engine builds gets the flag a whole-text scan gives,
+    whenever it is worked out, and every checkpoint candidate is sent and
+    counted as a split of its full text."""
+    built = []
+    expand = strategies._Engine.expand
+
+    def recording_expand(engine, *args):
+        children = expand(engine, *args)
+        built.extend((engine, child) for child in children)
+        return children
+
+    backend = _Freeform(texts, [a + _ANSWER_MARK for a in answers])
+    spy = _Recount(backend)
+    base = SearchConfig(n=4, m=2, max_steps=4, delimiters=delimiters,
+                        injection_template=template, seed=0)
+    with mock.patch.object(strategies._Engine, "expand", recording_expand):
+        result = run_search(Question("q", "Q:", "1"), parse_method_label(method, base), spy, spy)
+
+    for steps in backend.sent:
+        if _ANSWER_MARK in "".join(steps):
+            assert steps == [s.text for s in split_into_steps("".join(steps), delimiters)]
+    assert result.tokens == spy.stats
+    for engine, path in built:
+        assert engine._splits_at_steps(path) == _splits_at_steps(path, delimiters)
+
+
+@given(
+    delimiters=_OVERLAPPING_DELIMITERS,
+    template=_piece_texts.filter(bool),
+    texts=st.lists(_piece_texts, min_size=1, max_size=8),
+    raw=_piece_texts,
+    known=st.lists(st.booleans(), min_size=8, max_size=8),
+)
+# A match across the one-character last step into the template, and one
+# across the step before it into the last.
+@example(("#", "a a# "), " ", ["a a", ""], "", [True] * 8)
+@example(("#", "a a##"), "x", ["a a", "", "", "a"], "", [True] * 8)
+def test_candidate_steps_equal_a_split_of_the_full_text(delimiters, template, texts, raw, known):
+    """A chain of paths built as the engine builds them, each parent's flag
+    passed on or, where known is false, not; each path's checkpoint
+    candidate splits as its full text does."""
+    cfg = SearchConfig(delimiters=delimiters, injection_template=template)
+    engine = strategies._Engine(Question("q", "Q:", "1"), cfg, None, None)
+    steps, parent_flag = [], True
+    for k, text in enumerate(texts):
+        steps = steps + [Step(k, delimiters[0] + text)]
+        path = ReasoningPath("q", steps=steps)
+        path._step_tokens = sum(len(s.text.split()) for s in steps)
+        path._parent_aligned = parent_flag
+        candidate = build_checkpoint_candidate(path, template, CheckpointAnswer.from_raw(k, raw))
+        sent, tokens = engine._candidate_steps(candidate, raw)
+        expected = [s.text for s in split_into_steps(candidate.full_text, delimiters)]
+        assert sent == expected
+        assert tokens == sum(len(t.split()) for t in expected)
+        assert path._aligned == _splits_at_steps(path, delimiters)
+        parent_flag = path._aligned if known[k] else None
