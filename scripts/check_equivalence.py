@@ -12,7 +12,13 @@ subprocess that imports that tree's stepsearch:
     which one sibling's step can be another's followed by that one's child's,
     and siblings can be equal twins, searched under every method label and
     four delimiter sets.  Their questions come in pairs, one extending the
-    other by a step of the other's world.
+    other by a step of the other's world;
+  * random worlds from the package's worldgen.make_random_world, of depths 4
+    to 6 and branching 2 or 3, half with depth-ramped checkpoint rewards,
+    under every method label, two search seeds and two taus, the lower of
+    which makes srca stop early;
+  * the smoke demo (scripts/run_scripted_demo.py) as run_benchmark and
+    write_report run it, compared by the bytes of every file it writes.
 For every search it compares the run JSON and the digest of each request and
 reply, in order, at the backend boundary, and prints the first divergence.  A
 search that raises compares by its error.  Calls never overlap in the grid's
@@ -24,19 +30,24 @@ Usage:
     python scripts/check_equivalence.py REV
     python scripts/check_equivalence.py --self-test
 
-REV is any revision git knows.  --self-test plants a one-line fault in a copy
-of this tree's src/ and checks that a small grid reports it.  Exits 0 when
-every search matches (for --self-test: when the planted fault is reported),
-else 1.
+REV is any revision git knows.  --self-test plants one-line faults, one at a
+time, in copies of this tree's src/ and checks that a small grid reports
+each: one in the scripted backend's cache and one on the engine's side of the
+request seam.  Exits 0 when every search matches (for --self-test: when every
+planted fault is reported), else 1.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import importlib
+import io
 import itertools
 import json
 import os
 import random
+import runpy
 import shutil
 import subprocess
 import sys
@@ -45,6 +56,7 @@ import tempfile
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 SMOKE_DATASET = os.path.join(ROOT, "fixtures", "smoke.jsonl")
 SMOKE_WORLDS = os.path.join(ROOT, "fixtures", "smoke_worlds.json")
+DEMO = os.path.join(ROOT, "scripts", "run_scripted_demo.py")
 
 LABELS = ("greedy", "independent", "beam", "beam+cca", "dvts", "dvts+cca", "srca", "srca-cca")
 SMOKE_SHAPES = ((4, 2), (6, 3))
@@ -54,21 +66,33 @@ DEEP_METHODS = ("srca", "beam+cca", "dvts")
 # hide inside the tangled worlds' steps.
 DELIMITER_SETS = (("### Step",), ("### Step", "###"), ("### Step", "### St"), ("### Step", "#"))
 TANGLED_WORLDS = 300
-# The self-test's grid: a few tangled worlds and the smoke suite under one label.
+RANDOM_WORLDS = 24
+# Pooled scores reach about 0.9 in the ramped random worlds, so srca stops
+# early at the lower tau and never at 1.0.
+TAUS = (1.0, 0.7)
+# The self-test's grid: a few tangled and random worlds, the smoke suite
+# under one label, and the demo.
 QUICK_TANGLED_WORLDS = 12
+QUICK_RANDOM_WORLDS = 2
 
 # Text a tangled world builds its steps from: pieces of the delimiters and of
 # the answer template, so matches hide in, cross and follow steps.
 _FRAGMENTS = ("### Step", "### St", "###", "#", " a", " b", "\n", "So, the answer is ", "1")
 
-# The planted fault of --self-test: every node claims prefix-free children,
-# so a cached prefix extends where the walk from the root would take a longer
-# sibling.
-PLANT_FILE = os.path.join("src", "stepsearch", "backends.py")
-PLANT_FROM = (
-    "        self._prefix_free = not any(b.startswith(a) for a, b in zip(steps, steps[1:]))\n"
+# The planted faults of --self-test, (file, line, its replacement, what it
+# does), each planted alone.
+PLANTS = (
+    (os.path.join("src", "stepsearch", "backends.py"),
+     "        self._prefix_free = not any(b.startswith(a) for a, b in zip(steps, steps[1:]))\n",
+     "        self._prefix_free = True\n",
+     "every node claims prefix-free children, so a cached prefix extends where "
+     "the walk from the root would take a longer sibling"),
+    (os.path.join("src", "stepsearch", "strategies.py"),
+     "             self._checkpoint_candidate, p, round_index, complete)\n",
+     "             self._checkpoint_candidate, checkpoints[0], round_index, complete)\n",
+     "every checkpoint chain of a wave builds its candidate and score request "
+     "from the wave's first path, not from the path its answer belongs to"),
 )
-PLANT_TO = "        self._prefix_free = True\n"
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +248,12 @@ def grid(pkg, quick: bool):
                 for r in records:
                     q = pkg.Question(r["id"], r["question"], r["answer"])
                     yield f"deep seed={seed} {label} {q.id}", q, cfg, backend
+    questions, backend = random_worlds(pkg, QUICK_RANDOM_WORLDS if quick else RANDOM_WORLDS)
+    for tau, seed, label in itertools.product(TAUS, (0, 1), LABELS):
+        base = pkg.SearchConfig(n=4, m=2, max_steps=5, seed=seed, tau=tau)
+        cfg = pkg.parse_method_label(label, base)
+        for q in questions:
+            yield f"random tau={tau} seed={seed} {label} {q.id}", q, cfg, backend
     pairs = tangled_questions(QUICK_TANGLED_WORLDS if quick else TANGLED_WORLDS)
     for d, delimiters in enumerate(DELIMITER_SETS):
         # A fresh backend per delimiter set: what one set's searches leave
@@ -240,6 +270,37 @@ def grid(pkg, quick: bool):
                 yield f"tangled delimiters={d} seed={seed} {label} t{i:02d}", q, cfg, backend
 
 
+def random_worlds(pkg, count: int):
+    """(questions, backend) over count worlds of the tree's worldgen."""
+    worldgen = importlib.import_module(pkg.__name__ + ".worldgen")
+    questions, worlds_by_text = [], {}
+    for i in range(count):
+        world = worldgen.make_random_world(
+            seed=i, depth=4 + i % 3, branching=2 + i // 3 % 2, gold=str(20 + i),
+            ramp_checkpoint_rewards=i % 2 == 0,
+        )
+        q = pkg.Question(f"r{i:02d}", f"Random problem {i}: reduce it.\n", str(20 + i))
+        questions.append(q)
+        worlds_by_text[q.text] = pkg.parse_world(world)
+    return questions, pkg.ScriptedBackend(worlds_by_text)
+
+
+def demo_files() -> dict:
+    """The digest of every file the smoke demo writes, by its path below the
+    results dir."""
+    demo = runpy.run_path(DEMO, run_name="demo")
+    with tempfile.TemporaryDirectory(prefix="check-equivalence-demo-") as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            demo["main"](["--results-dir", out])
+        files = {}
+        for base, _, names in os.walk(out):
+            for name in names:
+                path = os.path.join(base, name)
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, out)] = hashlib.sha256(fh.read()).hexdigest()[:24]
+    return dict(sorted(files.items()))
+
+
 def run_grid(src: str, out: str, quick: bool) -> None:
     sys.path.insert(0, src)
     import stepsearch as pkg
@@ -251,13 +312,17 @@ def run_grid(src: str, out: str, quick: bool) -> None:
     with open(out, "w", encoding="utf-8") as fh:
         for key, question, cfg, backend in grid(pkg, quick):
             spy = Recorder(backend)
+            early = False
             try:
                 result = pkg.run_search(question, cfg, spy, spy).to_json_dict()
                 run = {name: _digest(value) for name, value in result.items()}
+                early = result["stopped_early"]
             except Exception as exc:  # compared, not hidden: see the docstring
                 run = {"error": f"{type(exc).__name__}: {exc}"}
             fh.write(json.dumps({"key": key, "run": run, "calls": spy.digests,
-                                 "notes": spy.notes}) + "\n")
+                                 "notes": spy.notes, "early": early}) + "\n")
+        fh.write(json.dumps({"key": "demo files", "run": demo_files(), "calls": [],
+                             "notes": [], "early": False}) + "\n")
 
 
 def _digest(value) -> str:
@@ -296,7 +361,8 @@ def compare(base: list[dict], other: list[dict]) -> list[str]:
         elif a["run"] != b["run"]:
             fields = sorted(k for k in a["run"].keys() | b["run"].keys()
                             if a["run"].get(k) != b["run"].get(k))
-            differences.append(f"{a['key']}: run JSON differs in {', '.join(fields)}")
+            what = "files differ:" if a["key"] == "demo files" else "run JSON differs in"
+            differences.append(f"{a['key']}: {what} {', '.join(fields)}")
     return differences
 
 
@@ -304,7 +370,10 @@ def report(base: list[dict], other: list[dict], base_name: str, other_name: str)
     differences = compare(base, other)
     calls = sum(len(r["calls"]) for r in base)
     errors = sum("error" in r["run"] for r in base)
-    print(f"{len(base)} searches ({errors} ending in an error), {calls} backend calls: "
+    early = sum(r["early"] for r in base)
+    files = sum(len(r["run"]) for r in base if r["key"] == "demo files")
+    print(f"{len(base) - 1} searches ({errors} ending in an error, {early} stopping early), "
+          f"{calls} backend calls and {files} demo files: "
           f"{len(differences)} differ between {base_name} and {other_name}")
     if differences:
         print("first divergence:", differences[0], sep="\n")
@@ -325,26 +394,27 @@ def check_revision(rev: str) -> int:
 
 def self_test() -> int:
     with tempfile.TemporaryDirectory(prefix="check-equivalence-") as workdir:
-        planted = os.path.join(workdir, "planted")
-        shutil.copytree(os.path.join(ROOT, "src"), os.path.join(planted, "src"),
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        path = os.path.join(planted, PLANT_FILE)
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
-        if source.count(PLANT_FROM) != 1:
-            print(f"self-test: the line to plant a fault in is not in {PLANT_FILE} once")
-            return 1
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(source.replace(PLANT_FROM, PLANT_TO))
         base = grid_of(ROOT, workdir, "tree", quick=True)
         same = grid_of(ROOT, workdir, "again", quick=True)
-        other = grid_of(planted, workdir, "planted", quick=True)
         if report(base, same, "this tree", "itself"):
             print("self-test: two runs of one tree differ")
             return 1
-        if not report(base, other, "this tree", "the planted fault"):
-            print("self-test: the planted fault was not reported")
-            return 1
+        for i, (name, line, planted_line, what) in enumerate(PLANTS):
+            planted = os.path.join(workdir, f"planted{i}")
+            shutil.copytree(os.path.join(ROOT, "src"), os.path.join(planted, "src"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            path = os.path.join(planted, name)
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
+            if source.count(line) != 1:
+                print(f"self-test: the line to plant a fault in is not in {name} once")
+                return 1
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(source.replace(line, planted_line))
+            other = grid_of(planted, workdir, f"planted{i}", quick=True)
+            if not report(base, other, "this tree", f"planted fault {i + 1} ({what})"):
+                print(f"self-test: planted fault {i + 1} was not reported")
+                return 1
         print("self-test: passed")
         return 0
 
@@ -353,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", help="the revision to compare this tree with")
     parser.add_argument("--self-test", action="store_true",
-                        help="plant a fault in a copy of src/ and check it is reported")
+                        help="plant faults in copies of src/ and check each is reported")
     parser.add_argument("--run-grid", nargs=2, metavar=("SRC", "OUT"), help=argparse.SUPPRESS)
     parser.add_argument("--quick", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -497,7 +497,9 @@ class ScriptedBackend:
 
 
 class RequestCache:
-    """JSON file of request-hash -> response payload, for record/replay."""
+    """JSON file of request-hash -> response payload, for record/replay.
+    ValueError names the path of a file that is not a JSON object of
+    objects."""
 
     def __init__(self, path: str):
         self.path = path
@@ -505,7 +507,15 @@ class RequestCache:
         self._entries: dict[str, dict] = {}
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
-                self._entries = json.load(fh)
+                try:
+                    entries = json.load(fh)
+                except ValueError as exc:
+                    raise ValueError(f"request cache {path} is not valid JSON: {exc}") from exc
+            if not isinstance(entries, dict) or not all(
+                isinstance(v, dict) for v in entries.values()
+            ):
+                raise ValueError(f"request cache {path} must hold a JSON object of objects")
+            self._entries = entries
 
     @staticmethod
     def key(kind: str, payload: dict) -> str:

@@ -21,16 +21,25 @@ returning survivor indices in survivor order:
 run_greedy is apart: it follows one temperature-0 path and scores and
 selects nothing.
 
-A round sends its backend calls in two waves of calls that do not depend on
-each other: wave 1 expands every parent; wave 2 scores every candidate and
-injects each active one, its checkpoint-candidate score chained after the
-injection.  Completing capped-out paths is one more wave.  The search's
-first call runs inline and is timed: if it waited on I/O for at least
-OVERLAP_WAIT_S beyond its own CPU time, later waves run their calls on a
-thread pool the search owns, at most MAX_IN_FLIGHT at once; otherwise every
-call runs inline, one at a time.  Either way the search's own thread applies
-the replies in candidate order, so run files, counters and the requests
-sent are the same in both modes.
+A search makes three kinds of backend request, each a plain tuple: its kind,
+which names the backend method that answers it, then exactly that method's
+arguments.  SAMPLE expands a surviving path, SCORE scores a candidate, and
+CHECKPOINT forces an answer out of an active one.  Checkpoint candidate
+augmentation chains that answer to the score of the candidate it completes:
+a chain holds the answer request (none when the answer is already recorded)
+and an engine continuation that builds the candidate and its SCORE request
+from the path and the answer.  _Waves.send is the one point that sends
+requests to the backends.
+
+A round sends its requests in two waves that do not depend on each other:
+wave 1 expands every parent; wave 2 scores every candidate and sends each
+active one's checkpoint chain.  Completing capped-out paths is one more wave.  The
+search's first request runs inline and is timed: if it waited on I/O for at
+least OVERLAP_WAIT_S beyond its own CPU time, later waves run on a thread
+pool the search owns, at most MAX_IN_FLIGHT at once; otherwise every request
+runs inline, one at a time.  Either way the search's own thread applies the
+replies in request order, so run files, counters and the requests sent are
+the same in both modes.
 """
 from __future__ import annotations
 
@@ -38,8 +47,8 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import partial
 from itertools import accumulate
+from operator import attrgetter
 
 from . import decision
 from .backends import derive_seed
@@ -94,46 +103,73 @@ def round_robin_select(clusters: list[Cluster], scores: list[float], m: int) -> 
     return picked
 
 
-# At most this many backend calls of one search are in flight at once: the
+# At most this many backend requests of one search are in flight at once: the
 # connections a requests.Session keeps open per host by default, so overlapped
-# HTTP calls reuse kept-alive connections instead of opening and dropping more.
+# HTTP requests reuse kept-alive connections instead of opening and dropping more.
 MAX_IN_FLIGHT = 10
-# A search overlaps its calls only when its first call waited at least this
+# A search overlaps its requests only when its first one waited at least this
 # long (wall time minus the thread's CPU time).  An in-process backend waits
-# on nothing, and handing its calls between threads under the GIL costs more
-# than it overlaps; a network round trip waits far longer than this.
+# on nothing, and handing its requests between threads under the GIL costs
+# more than it overlaps; a network round trip waits far longer than this.
 OVERLAP_WAIT_S = 0.0005
+
+# The kinds of request, each the backend method that answers it.
+SAMPLE = "sample_continuations"
+CHECKPOINT = "force_checkpoint_answer"
+SCORE = "score_steps"
+# A chain: (CHAIN, a request or None, an engine continuation, *its arguments).
+CHAIN = "chain"
 
 
 class _Waves:
-    """Runs one search's waves of independent backend calls, each a list of
-    argument-less callables, and returns their replies in call order.
+    """The one place a search reaches its backends.  run() sends a wave of
+    requests and chains that do not depend on each other and returns their
+    replies in wave order; send() answers one of them.
 
-    The first call of the search runs inline and is timed; it decides
-    whether later waves of two or more calls run on the search's own thread
-    pool.  A pooled wave raises the first error in call order.  close()
-    waits for every call still running and shuts the pool down, so an error
-    leaves the search only once the other calls of its wave have finished,
-    and no thread outlives the search.
+    A request goes to the backend method its kind names, bound once per
+    search, on its first wave.  A method no request uses may be missing, as
+    greedy's reward's may; a request to a missing one raises KeyError naming
+    its kind.  A chain sends its request, if it has one, then calls its
+    continuation on the same thread with the reply (None without a request)
+    and its arguments.  The continuation returns a value and a follow-up
+    request or None; the chain's reply is the value and the follow-up's
+    reply.
+
+    The search's first request runs inline and is timed; it decides whether
+    later waves of two or more run on the search's own thread pool.  A pooled
+    wave raises the first error in wave order.  close() waits for every
+    request still running and shuts the pool down, so an error leaves the
+    search only once the rest of its wave has finished, and no thread
+    outlives the search.
     """
 
-    def __init__(self):
-        self._overlap: bool | None = None  # None until the first call is timed
+    def __init__(self, generator, reward):
+        self._backends = {SAMPLE: generator, CHECKPOINT: generator, SCORE: reward}
+        self._methods: dict = {}
+        self._overlap: bool | None = None  # None until the first request is timed
         self._pool: ThreadPoolExecutor | None = None
 
     def run(self, calls: list) -> list:
         if self._overlap is None and calls:
+            self._methods = {k: getattr(b, k) for k, b in self._backends.items() if hasattr(b, k)}
             wall, cpu = time.perf_counter(), time.thread_time()
-            first = calls[0]()
+            first = self.send(calls[0])
             waited = (time.perf_counter() - wall) - (time.thread_time() - cpu)
             self._overlap = waited >= OVERLAP_WAIT_S
             return [first] + self.run(calls[1:])
         if not self._overlap or len(calls) < 2:
-            return [call() for call in calls]
+            return list(map(self.send, calls))
         if self._pool is None:
             self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT, thread_name_prefix="stepsearch")
-        futures = [self._pool.submit(call) for call in calls]
+        futures = [self._pool.submit(self.send, call) for call in calls]
         return [future.result() for future in futures]
+
+    def send(self, call: tuple):
+        if call[0] != CHAIN:
+            return self._methods[call[0]](*call[1:])
+        _, request, then, *args = call
+        value, follow = then(request and self.send(request), *args)
+        return value, follow and self.send(follow)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -143,14 +179,16 @@ class _Waves:
 class _Engine:
     """Shared per-run bookkeeping: pools, token accounting, diagnostics.
 
-    Backend calls go out in waves (see _Waves).  A call touches nothing the
-    engine keeps: it reads its request, computed before the wave, and
-    returns its reply.  The search's thread then applies every reply in
-    call order, so counters, paths and pools change in the same order
-    whether or not the calls overlapped.  Use the engine as a context
+    The engine builds every request as a value and hands each wave to its
+    _Waves, the only part of it that touches a backend.  A request carries
+    what it sends, computed before the wave, and a chain's continuation,
+    _checkpoint_candidate, reads only its path and the settings, which no
+    request changes.  The search's thread then applies every reply in
+    request order, so counters, paths and pools change in the same order
+    whether or not the requests overlapped.  Use the engine as a context
     manager, which closes its waves.
 
-    No Python loop runs over a whole prefix per call: a child's
+    No Python loop runs over a whole prefix per request: a child's
     reward-token count is its parent's plus the new step's, and a
     checkpoint candidate's step texts come from its path instead of a
     re-split of its text, checked by scanning only its last step, the
@@ -164,8 +202,6 @@ class _Engine:
     def __init__(self, question: Question, cfg: SearchConfig, generator, reward):
         self.question = question
         self.cfg = cfg
-        self.generator = generator
-        self.reward = reward
         self.naturals: list[Candidate] = []
         # Pooled checkpoint candidates with CCA on, or completed capped-out
         # survivors with it off; never both.
@@ -177,7 +213,7 @@ class _Engine:
         self.pool_over_tau = False
         self._delimiter_re = delimiter_pattern(cfg.delimiters)
         self._longest_delimiter = max(map(len, cfg.delimiters))
-        self._waves = _Waves()
+        self._waves = _Waves(generator, reward)
 
     def __enter__(self) -> "_Engine":
         return self
@@ -196,10 +232,9 @@ class _Engine:
     ) -> list[ReasoningPath]:
         """One wave: sample n children of every parent (None is the root),
         parent i with cfgs[i]; children are indexed in parent order."""
-        sample = self.generator.sample_continuations
         question = self.question.text
         replies = self._waves.run([
-            partial(sample, question + (parent.text() if parent else ""), n, cfg)
+            (SAMPLE, question + (parent.text() if parent else ""), n, cfg)
             for parent, cfg in zip(parents, cfgs)
         ])
         children: list[ReasoningPath] = []
@@ -238,48 +273,43 @@ class _Engine:
         recorded there and, with complete, score and pool the checkpoint
         candidate completing the path through that answer."""
         question = self.question.text
-        calls = [
-            partial(self.reward.score_steps, question, list(map(step_text, p.steps)))
-            for p in scored
+        requests = [(SCORE, question, list(map(step_text, p.steps))) for p in scored]
+        requests += [
+            (CHAIN, None if len(p.steps) - 1 in p.checkpoint_answers
+             else (CHECKPOINT, question + p.text(), self.cfg),
+             self._checkpoint_candidate, p, round_index, complete)
+            for p in checkpoints
         ]
-        calls += [self._checkpoint_call(p, round_index, complete) for p in checkpoints]
-        replies = self._waves.run(calls)
+        replies = self._waves.run(requests)
         for path, seq in zip(scored, replies):
             path.score_sequence = list(map(float, seq))
             self.tokens.reward_calls += 1
             self.tokens.reward_tokens += path.step_tokens()
-        for path, (answer, candidate, tokens) in zip(checkpoints, replies[len(scored) :]):
+        for path, ((answer, candidate, tokens), seq) in zip(checkpoints, replies[len(scored) :]):
             if answer.step_index not in path.checkpoint_answers:
                 self.tokens.generator_calls += 1
                 self.tokens.generated_tokens += approx_token_count(answer.raw_text)
                 path.record_checkpoint(answer)
             if candidate is not None:
+                candidate.final_score = reduce_scores(list(map(float, seq)), self.cfg.reduction)
                 self.tokens.reward_calls += 1
                 self.tokens.reward_tokens += tokens
                 self.checkpoints.append(candidate)
                 self._note_pooled(candidate)
 
-    def _checkpoint_call(self, path: ReasoningPath, round_index: int, complete: bool):
-        """The call for one path of wave's checkpoints; it returns (answer,
-        scored candidate or None, the candidate's reward tokens)."""
-        answer = path.checkpoint_answers.get(len(path.steps) - 1)
-        prefix = self.question.text + path.text() if answer is None else None
-
-        def call():
-            found = answer
-            if found is None:
-                raw = self.generator.force_checkpoint_answer(prefix, self.cfg)
-                found = CheckpointAnswer.from_raw(len(path.steps) - 1, raw)
-            if not complete:
-                return found, None, 0
-            candidate = build_checkpoint_candidate(path, self.cfg.injection_template, found)
-            candidate.round_index = round_index
-            texts, tokens = self._candidate_steps(candidate, found.raw_text)
-            seq = self.reward.score_steps(self.question.text, texts)
-            candidate.final_score = reduce_scores(list(map(float, seq)), self.cfg.reduction)
-            return found, candidate, tokens
-
-        return call
+    def _checkpoint_candidate(self, raw, path, round_index, complete):
+        """A checkpoint chain's continuation: ((the answer at path's last
+        step, read from raw or else the recorded one; with complete, the
+        candidate completing path through it, else None; the candidate's
+        reward tokens), the candidate's score request or None)."""
+        i = len(path.steps) - 1
+        answer = path.checkpoint_answers[i] if raw is None else CheckpointAnswer.from_raw(i, raw)
+        if not complete:
+            return (answer, None, 0), None
+        candidate = build_checkpoint_candidate(path, self.cfg.injection_template, answer)
+        candidate.round_index = round_index
+        texts, tokens = self._candidate_steps(candidate, answer.raw_text)
+        return (answer, candidate, tokens), (SCORE, self.question.text, texts)
 
     def _candidate_steps(self, candidate: Candidate, raw: str) -> tuple[list[str], int]:
         """(step texts, their token count) of a checkpoint candidate whose
@@ -295,22 +325,17 @@ class _Engine:
         the template or the answer moves or adds a match, and the text is
         split instead.
         """
-        path, last = candidate.source, candidate.origin_step
-        full = candidate.full_text
-        if path is not None and last == len(path.steps) - 1:
-            step = path.steps[-1].text
-            tail = step + self.cfg.injection_template + raw
-            if self._splits_at_steps(path) and len(step) >= self._longest_delimiter:
-                aligned = self._match_starts(tail) == [0]
-            else:
-                aligned = self._match_starts(full) == _offsets(path)
-            if aligned:
-                texts = list(map(step_text, path.steps[:-1]))
-                texts.append(tail)
-                tokens = (
-                    path.step_tokens() - approx_token_count(step) + approx_token_count(tail)
-                )
-                return texts, tokens
+        path, full = candidate.source, candidate.full_text
+        step = path.steps[-1].text
+        tail = step + self.cfg.injection_template + raw
+        if self._splits_at_steps(path) and len(step) >= self._longest_delimiter:
+            aligned = self._match_starts(tail) == [0]
+        else:
+            aligned = self._match_starts(full) == _offsets(path)
+        if aligned:
+            texts = list(map(step_text, path.steps[:-1]))
+            texts.append(tail)
+            return texts, path.step_tokens() - approx_token_count(step) + approx_token_count(tail)
         texts = [s.text for s in split_into_steps(full, self.cfg.delimiters)]
         return texts, sum(approx_token_count(t) for t in texts)
 
@@ -374,8 +399,8 @@ class _Engine:
     # -- finishing ---------------------------------------------------------
 
     def assemble(self) -> list[Candidate]:
-        pool = sorted(self.naturals, key=lambda c: c.lineage)
-        pool += sorted(self.checkpoints, key=lambda c: (c.round_index, c.lineage))
+        pool = sorted(self.naturals, key=attrgetter("lineage"))
+        pool += sorted(self.checkpoints, key=attrgetter("round_index", "lineage"))
         if not pool:
             raise RuntimeError("search ended with an empty candidate pool")
         return pool

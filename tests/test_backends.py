@@ -662,6 +662,23 @@ def test_request_cache_reads_indented_files_and_saves_compact_json(tmp_path):
         entries, sort_keys=True, separators=(",", ":")
     )
 
+
+@pytest.mark.parametrize("text", ["[1]", '{"k": [1]}', '"entries"', "null", '{"k": {}, "j": 2}'])
+def test_request_cache_rejects_a_file_that_is_not_an_object_of_objects(tmp_path, text):
+    path = tmp_path / "cache.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="must hold a JSON object of objects") as info:
+        RequestCache(str(path))
+    assert str(path) in str(info.value)
+
+
+def test_request_cache_names_the_path_of_invalid_json(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text('{"k": ', encoding="utf-8")
+    with pytest.raises(ValueError, match="is not valid JSON") as info:
+        RequestCache(str(path))
+    assert str(path) in str(info.value)
+
 # ---------------------------------------------------------------------------
 # HTTP clients against the threaded stub server (conftest.stub_server)
 # ---------------------------------------------------------------------------

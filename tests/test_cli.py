@@ -357,3 +357,22 @@ def test_replay_run_leaves_the_replay_file_untouched(tmp_path, monkeypatch, stub
     assert cache_path.read_bytes() == recorded
     assert len(state.requests) == requests_seen
     assert (replayed_dir / "report.csv").read_bytes() == (recorded_dir / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text", ["[1]", '{"k": [1]}', "{"])
+def test_a_bad_replay_cache_exits_2_before_any_search(tmp_path, monkeypatch, capsys,
+                                                     stub_server, text):
+    url, state = stub_server
+    monkeypatch.setenv(ENV_GENERATOR_URL, url)
+    monkeypatch.setenv(ENV_REWARD_URL, url)
+    cache_path = tmp_path / "requests.json"
+    cache_path.write_text(text, encoding="utf-8")
+    config_path = _setup_project(tmp_path, methods=["srca"])
+    config = json.loads(config_path.read_text())
+    config.update(backend="http", replay=str(cache_path))
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    results = tmp_path / "results"
+    assert main(["run", "--config", str(config_path), "--results-dir", str(results)]) == 2
+    assert str(cache_path) in capsys.readouterr().err
+    assert state.requests == []
+    assert not results.exists()
