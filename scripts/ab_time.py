@@ -25,7 +25,7 @@ per-round ratios of this tree's times to REV's.  It is a measuring aid, not a
 gate: timings on a shared machine move with its load.
 
 Usage:
-    python scripts/ab_time.py REV [--workload smoke|deep] [--rounds N] [--seed N]
+    python scripts/ab_time.py REV [--workload smoke|deep] [--rounds N]
     python scripts/ab_time.py --self-test
 
 --self-test compares this tree with a copy whose scripted backend passes
@@ -57,6 +57,8 @@ SMOKE_METHODS = ("greedy", "independent", "beam", "beam+cca", "dvts", "srca")
 DEEP_METHODS = ("srca", "beam+cca", "dvts")
 REQUEST_METHODS = ("sample_continuations", "force_checkpoint_answer", "score_steps")
 PASSES_PER_ROUND = 5
+# The workload seed of every run.
+SEED = 1
 
 # The self-test's plant, appended to a copy of backends.py: each request
 # method of ScriptedBackend gains one Python frame.
@@ -84,17 +86,17 @@ def load_tree(src: str, name: str):
     return pkg
 
 
-def searches(pkg, workload: str, seed: int):
+def searches(pkg, workload: str):
     """(backend, [(question, cfg), ...]) of one workload for one tree."""
     if workload == "deep":
-        records, deep_worlds = worlds.make_deep(seed)
+        records, deep_worlds = worlds.make_deep(SEED)
         backend = pkg.ScriptedBackend({
             r["question"]: worlds.to_scripted(
                 deep_worlds[r["id"]], pkg.backends.ScriptedNode, pkg.ScriptedWorld)
             for r in records
         })
         questions = [pkg.Question(r["id"], r["question"], r["answer"]) for r in records]
-        base = pkg.SearchConfig(n=8, m=2, max_steps=max(worlds.DEEP_DEPTHS), seed=seed)
+        base = pkg.SearchConfig(n=8, m=2, max_steps=max(worlds.DEEP_DEPTHS), seed=SEED)
         cfgs = [pkg.parse_method_label(m, base) for m in DEEP_METHODS]
     else:
         records, specs = worlds.load_smoke(ROOT)
@@ -103,7 +105,7 @@ def searches(pkg, workload: str, seed: int):
         questions = [pkg.Question(r["id"], r["question"], r["answer"]) for r in records]
         cfgs = [
             pkg.parse_method_label(m, pkg.SearchConfig(n=4, m=2, max_steps=8, seed=s))
-            for s in (2 * seed, 2 * seed + 1) for m in SMOKE_METHODS
+            for s in (2 * SEED, 2 * SEED + 1) for m in SMOKE_METHODS
         ]
     return backend, [(q, cfg) for cfg in cfgs for q in questions]
 
@@ -111,14 +113,14 @@ def searches(pkg, workload: str, seed: int):
 class Tree:
     """One loaded tree with its backend and searches."""
 
-    def __init__(self, label: str, src: str, name: str, workload: str, seed: int):
+    def __init__(self, label: str, src: str, name: str, workload: str):
         self.label = label
         self.pkg = load_tree(src, name)
         # Past any wait, so no search overlaps its requests: a request that
         # waits for a CPU reads as I/O, and requests sent from a pool's
         # threads escape the profiler, which follows one thread.
         self.pkg.strategies.OVERLAP_WAIT_S = float("inf")
-        self.backend, self.searches = searches(self.pkg, workload, seed)
+        self.backend, self.searches = searches(self.pkg, workload)
 
     def one_pass(self) -> None:
         run_search, backend = self.pkg.run_search, self.backend
@@ -216,12 +218,12 @@ def extract(rev: str, workdir: str) -> str:
     return os.path.join(tree, "src")
 
 
-def compare_revision(rev: str, workload: str, rounds: int, seed: int) -> int:
+def compare_revision(rev: str, workload: str, rounds: int) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-time-") as workdir:
-        base = Tree(rev, extract(rev, workdir), "_ab_rev", workload, seed)
-        other = Tree("tree", os.path.join(ROOT, "src"), "_ab_tree", workload, seed)
+        base = Tree(rev, extract(rev, workdir), "_ab_rev", workload)
+        other = Tree("tree", os.path.join(ROOT, "src"), "_ab_tree", workload)
         result = measure(base, other, rounds)
-    result.update(rev=rev, workload=workload, seed=seed, rounds=rounds)
+    result.update(rev=rev, workload=workload, rounds=rounds)
     print(summary(result, rev, "tree", workload, rounds))
     print(json.dumps(result, sort_keys=True))
     return 0
@@ -235,8 +237,8 @@ def self_test() -> int:
         with open(os.path.join(planted, "stepsearch", "backends.py"), "a",
                   encoding="utf-8") as fh:
             fh.write(PLANT)
-        base = Tree("tree", os.path.join(ROOT, "src"), "_ab_tree", "smoke", 1)
-        other = Tree("planted", planted, "_ab_planted", "smoke", 1)
+        base = Tree("tree", os.path.join(ROOT, "src"), "_ab_tree", "smoke")
+        other = Tree("planted", planted, "_ab_planted", "smoke")
         base.one_pass()
         other.one_pass()
         (calls, requests), (planted_calls, planted_requests) = base.counts(), other.counts()
@@ -257,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev", nargs="?", help="the revision to compare this tree with")
     parser.add_argument("--workload", choices=("smoke", "deep"), default="smoke")
     parser.add_argument("--rounds", type=int, default=20, help="timed rounds (default 20)")
-    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     parser.add_argument("--self-test", action="store_true",
                         help="check that a planted extra call per request is counted exactly")
     args = parser.parse_args(argv)
@@ -265,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         return self_test()
     if args.rev is None:
         parser.error("give a revision or --self-test")
-    return compare_revision(args.rev, args.workload, args.rounds, args.seed)
+    return compare_revision(args.rev, args.workload, args.rounds)
 
 
 if __name__ == "__main__":

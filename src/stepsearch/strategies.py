@@ -128,12 +128,12 @@ class _Waves:
 
     A request goes to the backend method its kind names, bound once per
     search, on its first wave.  A method no request uses may be missing, as
-    greedy's reward's may; a request to a missing one raises KeyError naming
-    its kind.  A chain sends its request, if it has one, then calls its
-    continuation on the same thread with the reply (None without a request)
-    and its arguments.  The continuation returns a value and a follow-up
-    request or None; the chain's reply is the value and the follow-up's
-    reply.
+    greedy's reward's may; a stand-in bound in its place raises the
+    AttributeError that reaching for it raises, naming the backend's type.
+    A chain sends its request, if it has one, then calls its continuation
+    on the same thread with the reply (None without a request) and its
+    arguments.  The continuation returns a value and a follow-up request or
+    None; the chain's reply is the value and the follow-up's reply.
 
     The search's first request runs inline and is timed; it decides whether
     later waves of two or more run on the search's own thread pool.  A pooled
@@ -144,14 +144,15 @@ class _Waves:
     """
 
     def __init__(self, generator, reward):
-        self._backends = {SAMPLE: generator, CHECKPOINT: generator, SCORE: reward}
-        self._methods: dict = {}
+        # Each kind's backend, replaced by its bound method on the first wave.
+        self._methods = {SAMPLE: generator, CHECKPOINT: generator, SCORE: reward}
         self._overlap: bool | None = None  # None until the first request is timed
         self._pool: ThreadPoolExecutor | None = None
 
     def run(self, calls: list) -> list:
         if self._overlap is None and calls:
-            self._methods = {k: getattr(b, k) for k, b in self._backends.items() if hasattr(b, k)}
+            self._methods = {k: getattr(b, k, None) or (lambda *a, b=b, k=k: getattr(b, k)(*a))
+                             for k, b in self._methods.items()}
             wall, cpu = time.perf_counter(), time.thread_time()
             first = self.send(calls[0])
             waited = (time.perf_counter() - wall) - (time.thread_time() - cpu)
@@ -325,7 +326,8 @@ class _Engine:
         the template or the answer moves or adds a match, and the text is
         split instead.
         """
-        path, full = candidate.source, candidate.full_text
+        path = candidate.source
+        full = candidate.full_text
         step = path.steps[-1].text
         tail = step + self.cfg.injection_template + raw
         if self._splits_at_steps(path) and len(step) >= self._longest_delimiter:
@@ -335,7 +337,10 @@ class _Engine:
         if aligned:
             texts = list(map(step_text, path.steps[:-1]))
             texts.append(tail)
-            return texts, path.step_tokens() - approx_token_count(step) + approx_token_count(tail)
+            tokens = (
+                path.step_tokens() - approx_token_count(step) + approx_token_count(tail)
+            )
+            return texts, tokens
         texts = [s.text for s in split_into_steps(full, self.cfg.delimiters)]
         return texts, sum(approx_token_count(t) for t in texts)
 
@@ -456,14 +461,6 @@ def _build_trace(winner: Candidate, pool: list[Candidate]) -> list[dict]:
     return rows
 
 
-def _select(pool: list[Candidate], cfg: SearchConfig) -> decision.Selection:
-    if cfg.selector == "bon":
-        return decision.select_bon(pool)
-    if cfg.selector == "weighted_bon":
-        return decision.select_weighted_bon(pool)
-    return decision.select_majority(pool)
-
-
 def _keep_round_robin(actives, reduced, clusters, cfg):
     return round_robin_select(clusters, reduced, min(cfg.m, len(actives)))
 
@@ -577,7 +574,8 @@ def _run_round_based(
                 survivors = sorted(active, key=ReasoningPath.lineage_key)
                 engine.wave(active if independent else [], survivors, cfg.max_steps - 1, True)
         pool = engine.assemble()
-        return engine.finalize(pool, _select(pool, cfg))
+        # cfg.selector, one of core.SELECTORS, names its rule in decision.
+        return engine.finalize(pool, getattr(decision, "select_" + cfg.selector)(pool))
 
 
 def _expect(cfg: SearchConfig, strategy: str) -> None:

@@ -197,8 +197,8 @@ def test_a_chained_score_request_follows_its_answer_on_the_same_thread(
 def test_a_backend_needs_only_the_methods_its_requests_use(smoke_suite):
     """Methods are bound once per search from what the backends have: a
     generator without force_checkpoint_answer serves beam search, greedy
-    runs without a reward, and a request to a missing method raises
-    KeyError naming its kind."""
+    runs without a reward, and a request to a missing method raises the
+    AttributeError naming the backend's type and the method."""
     dataset, backend = smoke_suite
     question = dataset.questions[0]
 
@@ -210,5 +210,8 @@ def test_a_backend_needs_only_the_methods_its_requests_use(smoke_suite):
     beam = run_search(question, parse_method_label("beam", base), SampleOnly(), backend)
     assert beam == run_search(question, parse_method_label("beam", base), backend, backend)
     run_search(question, parse_method_label("greedy", base), SampleOnly(), None)
-    with pytest.raises(KeyError, match=CHECKPOINT):
+    missing = f"'SampleOnly' object has no attribute '{CHECKPOINT}'"
+    with pytest.raises(AttributeError, match=missing):
         run_search(question, parse_method_label("srca", base), SampleOnly(), backend)
+    with pytest.raises(AttributeError, match=f"'NoneType' object has no attribute '{SCORE}'"):
+        run_search(question, parse_method_label("beam", base), backend, None)
